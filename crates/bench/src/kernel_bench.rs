@@ -14,7 +14,8 @@
 //! * **block-spmv** — [`CsrMatrix::matvec_block`] (one row traversal
 //!   updates the whole block) vs `b` independent matvecs (the pre-block
 //!   subspace-iteration inner loop);
-//! * **knn** — KNN graph construction (pooled `par_map` row scan).
+//! * **knn** — KNN graph construction (pooled blocked tile scan, 8
+//!   query rows × 2 candidate rows per step).
 //!
 //! Every timed pair is also *verified*: pooled vs sequential and block
 //! vs column-wise must agree bit-for-bit, fused vs lazy within a 1e-10
@@ -362,7 +363,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         }
     }
 
-    // --- knn: pooled brute-force row scan ---
+    // --- knn: pooled blocked brute-force scan ---
     for &n in &config.knn_sizes {
         let mut x = DenseMatrix::zeros(n, config.knn_dim);
         let mut state = config.seed | 1;

@@ -78,8 +78,8 @@ pub fn set_conductance(g: &Graph, members: &[bool]) -> Result<f64> {
 /// downstream users as a 2-way clustering primitive.
 ///
 /// # Errors
-/// [`GraphError::InvalidArgument`] on length mismatch or graphs with no
-/// edges.
+/// [`GraphError::InvalidArgument`] on length mismatch, a non-finite
+/// score, or graphs with no edges.
 pub fn sweep_cut(g: &Graph, score: &[f64]) -> Result<(f64, Vec<bool>)> {
     let n = g.n();
     if score.len() != n {
@@ -93,8 +93,13 @@ pub fn sweep_cut(g: &Graph, score: &[f64]) -> Result<(f64, Vec<bool>)> {
             "sweep cut of an edgeless graph".into(),
         ));
     }
+    if let Some(u) = score.iter().position(|s| !s.is_finite()) {
+        return Err(GraphError::InvalidArgument(format!(
+            "sweep cut score of node {u} is not finite"
+        )));
+    }
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| score[a].partial_cmp(&score[b]).expect("finite scores"));
+    order.sort_by(|&a, &b| score[a].total_cmp(&score[b]));
     let deg = g.degrees();
     let total_vol = g.total_volume();
     let mut members = vec![false; n];
@@ -243,6 +248,20 @@ mod tests {
         assert!(sweep_cut(&g, &[0.0; 3]).is_err());
         let empty = Graph::from_unweighted_edges(3, &[]).unwrap();
         assert!(sweep_cut(&empty, &[0.0; 3]).is_err());
+    }
+
+    #[test]
+    fn sweep_cut_rejects_non_finite_scores() {
+        let g = dumbbell();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut score: Vec<f64> = (0..g.n()).map(|u| u as f64).collect();
+            score[3] = bad;
+            let err = sweep_cut(&g, &score).unwrap_err();
+            assert!(
+                matches!(err, GraphError::InvalidArgument(ref m) if m.contains("node 3")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -285,7 +285,7 @@ impl Mvag {
     ///
     /// # Errors
     /// [`GraphError::InvalidArgument`] on inconsistent node counts,
-    /// `r < 2`, `k < 2`, or label problems.
+    /// a non-finite attribute value, `r < 2`, `k < 2`, or label problems.
     pub fn new(
         name: impl Into<String>,
         views: Vec<View>,
@@ -308,6 +308,13 @@ impl Mvag {
                     "view {i} covers {} nodes, expected {n}",
                     v.n()
                 )));
+            }
+            if let View::Attributes(x) = v {
+                if let Some(r) = (0..n).find(|&r| x.row(r).iter().any(|a| !a.is_finite())) {
+                    return Err(GraphError::InvalidArgument(format!(
+                        "view {i}: attribute row {r} holds a non-finite value"
+                    )));
+                }
             }
         }
         if k < 2 {
@@ -398,8 +405,9 @@ impl Mvag {
     /// # Errors
     /// [`GraphError::InvalidArgument`] when the delta does not line up
     /// with this MVAG: wrong view count or kinds, attribute row
-    /// count/width mismatches, out-of-range edge endpoints, label
-    /// problems, or invalid removals/edits (see
+    /// count/width mismatches, non-finite appended or edited attribute
+    /// values (the result goes through [`Mvag::new`]), out-of-range edge
+    /// endpoints, label problems, or invalid removals/edits (see
     /// [`MvagDelta::validate_mutations`]).
     pub fn apply_delta(&self, delta: &MvagDelta) -> Result<Mvag> {
         // Kind/lineup validation up front (also used by callers to
@@ -452,11 +460,6 @@ impl Mvag {
                                     "edit {ei}: row has {} columns, view {i} has {}",
                                     row.len(),
                                     x.ncols()
-                                )));
-                            }
-                            if row.iter().any(|v| !v.is_finite()) {
-                                return Err(GraphError::InvalidArgument(format!(
-                                    "edit {ei}: non-finite attribute value"
                                 )));
                             }
                             stacked.row_mut(*node).copy_from_slice(row);
@@ -585,6 +588,39 @@ mod tests {
             )
             .is_err(),
             "label >= k"
+        );
+    }
+
+    #[test]
+    fn rejects_non_finite_attributes() {
+        // A single +inf attribute used to reach the KNN builder and panic
+        // in its similarity sort.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut x = DenseMatrix::from_vec(4, 2, vec![1.0; 8]).unwrap();
+            x.row_mut(2)[1] = bad;
+            let err =
+                Mvag::new("x", vec![graph_view(4), View::Attributes(x)], None, 2).unwrap_err();
+            assert!(
+                matches!(err, GraphError::InvalidArgument(ref m) if m.contains("row 2 holds a non-finite")),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_delta_rejects_non_finite_appended_rows() {
+        let base = Mvag::new("test", vec![graph_view(4), attr_view(4, 3)], None, 2).unwrap();
+        let mut rows = DenseMatrix::zeros(2, 3);
+        rows.row_mut(1)[0] = f64::INFINITY;
+        let delta = MvagDelta::append(
+            2,
+            vec![ViewDelta::Edges(vec![]), ViewDelta::Rows(rows)],
+            None,
+        );
+        let err = base.apply_delta(&delta).unwrap_err();
+        assert!(
+            matches!(err, GraphError::InvalidArgument(ref m) if m.contains("row 5 holds a non-finite")),
+            "{err}"
         );
     }
 
