@@ -1,5 +1,6 @@
-//! Kernel benchmark: pooled/fused/blocked SpMV and KNN vs their
-//! pre-pool baselines, with a built-in bit-identity/tolerance gate.
+//! Kernel benchmark: pooled/fused/blocked SpMV vs their pre-pool
+//! baselines, plus KNN, thin QR and NetMF timings, with a built-in
+//! bit-identity/tolerance gate.
 //! Writes `BENCH_kernels.json`; exits nonzero if any fused/pooled
 //! kernel diverges from its sequential reference.
 //!

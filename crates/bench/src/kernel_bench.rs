@@ -1,7 +1,7 @@
 //! Kernel micro-benchmark: persistent-pool + fused-operator hot paths
 //! against their pre-pool baselines, with built-in correctness gates.
 //!
-//! Four kernel families are timed at several sizes:
+//! Six kernel families are timed at several sizes:
 //!
 //! * **spmv** — `CsrMatrix::matvec_parallel` (persistent pool, chunk
 //!   stealing) vs the scoped-thread baseline
@@ -15,17 +15,24 @@
 //!   updates the whole block) vs `b` independent matvecs (the pre-block
 //!   subspace-iteration inner loop);
 //! * **knn** — KNN graph construction (pooled blocked tile scan, 8
-//!   query rows × 2 candidate rows per step).
+//!   query rows × 2 candidate rows per step);
+//! * **qr_thin** — MGS2 thin QR of an `n × 72` panel (the randomized-SVD
+//!   panel width at the paper's dim 64);
+//! * **netmf** — the whole NetMF embedding (dim 64, window 5) of a
+//!   random graph: similarity powers, log, randomized SVD.
 //!
 //! Every timed pair is also *verified*: pooled vs sequential and block
 //! vs column-wise must agree bit-for-bit, fused vs lazy within a 1e-10
-//! relative tolerance. Any divergence fails the run (nonzero exit) —
+//! relative tolerance, and NetMF at `threads` must equal NetMF at one
+//! thread bit-for-bit. Any divergence fails the run (nonzero exit) —
 //! this is the CI gate that keeps the fused kernels honest.
 
 use mvag_data::json::Value;
 use mvag_graph::knn::{knn_graph, KnnConfig};
 use mvag_sparse::parallel::scoped;
+use mvag_sparse::qr::qr_thin;
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp, ScaledSumOp};
+use sgla_core::embedding::{embed, EmbedBackend, EmbedParams};
 use std::time::Instant;
 
 /// Benchmark configuration.
@@ -45,6 +52,8 @@ pub struct KernelBenchConfig {
     pub knn_sizes: Vec<usize>,
     /// Attribute dimensionality for the KNN benchmark.
     pub knn_dim: usize,
+    /// Node counts for the `qr_thin` (`n × 72`) and NetMF benchmarks.
+    pub netmf_sizes: Vec<usize>,
     /// RNG seed.
     pub seed: u64,
     /// Smoke mode: tiny sizes, few reps — correctness gate only.
@@ -61,6 +70,7 @@ impl Default for KernelBenchConfig {
             threads: mvag_sparse::parallel::default_threads(),
             knn_sizes: vec![500, 1_500],
             knn_dim: 32,
+            netmf_sizes: vec![1_500],
             seed: 2025,
             smoke: false,
         }
@@ -73,6 +83,7 @@ impl KernelBenchConfig {
         KernelBenchConfig {
             sizes: vec![400, 2_000],
             knn_sizes: vec![200],
+            netmf_sizes: vec![150],
             smoke: true,
             ..Default::default()
         }
@@ -392,6 +403,54 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         });
     }
 
+    // --- qr_thin (n × 72 panel) and the whole NetMF embedding ---
+    for &n in &config.netmf_sizes {
+        let reps = if config.smoke { 2 } else { 5 };
+        let mut panel = DenseMatrix::zeros(n, 72);
+        for (i, v) in panel.data_mut().iter_mut().enumerate() {
+            *v = ((i * 40503) % 997) as f64 / 498.5 - 1.0;
+        }
+        let (p50, mean) = time_reps(reps, || {
+            std::hint::black_box(qr_thin(&panel).expect("tall panel"));
+        });
+        timings.push(KernelTiming {
+            kernel: "qr_thin".into(),
+            n,
+            nnz: n * 72,
+            reps,
+            p50_us: p50,
+            mean_us: mean,
+        });
+        // NetMF reads the graph as Â = −offdiag(L), so −A stands in for
+        // a Laplacian of the random graph A.
+        let mut l = random_csr(n, config.per_row, config.seed ^ n as u64);
+        l.scale(-1.0);
+        let nnz = l.nnz();
+        let params = |threads| EmbedParams {
+            dim: 64.min(n - 2),
+            backend: EmbedBackend::NetMf,
+            threads,
+            ..Default::default()
+        };
+        let mut emb = DenseMatrix::zeros(0, 0);
+        let (p50, mean) = time_reps(reps, || {
+            emb = embed(&l, &params(threads)).expect("valid netmf input");
+        });
+        timings.push(KernelTiming {
+            kernel: "netmf".into(),
+            n,
+            nnz,
+            reps,
+            p50_us: p50,
+            mean_us: mean,
+        });
+        if embed(&l, &params(1)).expect("valid netmf input") != emb {
+            divergences.push(format!(
+                "n={n}: netmf embedding at {threads} threads differs from 1 thread"
+            ));
+        }
+    }
+
     KernelBenchReport {
         timings,
         divergences,
@@ -497,6 +556,7 @@ mod tests {
         let mut config = KernelBenchConfig::smoke();
         config.sizes = vec![300];
         config.knn_sizes = vec![80];
+        config.netmf_sizes = vec![100];
         config.threads = 2;
         let report = run(&config);
         assert!(
@@ -507,6 +567,7 @@ mod tests {
         assert!(report.p50("spmv_pooled", 300).is_some());
         assert!(report.p50("multiview_spmv_fused", 300).is_some());
         assert!(report.p50("block_spmv_fused", 300).is_some());
+        assert!(report.p50("netmf", 100).is_some());
         let json = report.to_json(&config).to_string_pretty();
         assert!(json.contains("verified"));
         assert!(json.contains("speedups"));

@@ -7,8 +7,10 @@
 //! * [`EmbedBackend::NetMf`] — a faithful NetMF-small: the integrated
 //!   graph's random-walk similarity `S = (1/T) Σ_t P̃ᵗ` is densified, the
 //!   pointwise log `max(·, 1)` transform applied, and the result factorized
-//!   by randomized SVD; embedding = `U_d Σ_d^{1/2}`. `O(T·nnz·n + n²)` —
-//!   exactly the regime NetMF targets.
+//!   by randomized SVD; embedding = `U_d Σ_d^{1/2}`. `O((T−1)·nnz·n + n²)`
+//!   for the similarity (`P̃¹` is scattered, not multiplied) plus
+//!   `O(nnz(M)·d)` per randomized-SVD product — exactly the regime NetMF
+//!   targets.
 //! * [`EmbedBackend::Spectral`] — the scalable substitute for SketchNE
 //!   (whose sparse-sign sketching we do not reproduce): the bottom
 //!   eigenpairs of `L` scaled by the DeepWalk spectral filter
@@ -24,6 +26,7 @@ use crate::{Result, SglaError};
 use mvag_sparse::eigen::{
     smallest_eigenpairs, smallest_eigenpairs_subspace, EigOptions, SubspaceOptions,
 };
+use mvag_sparse::parallel::par_chunks_mut;
 use mvag_sparse::svd::{rsvd, RsvdOptions};
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -77,8 +80,8 @@ impl Default for EmbedParams {
 /// Laplacian `l` into `params.dim` dimensions.
 ///
 /// # Errors
-/// [`SglaError::InvalidArgument`] for non-square input or
-/// `dim >= n`; propagates eigensolver/SVD failures.
+/// [`SglaError::InvalidArgument`] for non-square input, a non-finite
+/// entry or `dim >= n`; propagates eigensolver/SVD failures.
 pub fn embed(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     embed_warm(l, params, None)
 }
@@ -116,6 +119,11 @@ pub fn embed_warm(
             l.nrows(),
             l.ncols()
         )));
+    }
+    if l.values().iter().any(|v| !v.is_finite()) {
+        return Err(SglaError::InvalidArgument(
+            "laplacian holds a non-finite entry".into(),
+        ));
     }
     if params.dim == 0 || params.dim + 1 >= n {
         return Err(SglaError::InvalidArgument(format!(
@@ -162,45 +170,28 @@ pub fn adjacency_from_laplacian(l: &CsrMatrix) -> CsrMatrix {
 
 fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     let n = l.nrows();
-    let adj = adjacency_from_laplacian(l);
-    let deg = adj.row_sums();
-    let vol: f64 = deg.iter().sum();
-    if vol <= 0.0 {
-        return Err(SglaError::InvalidArgument(
-            "integrated graph has no edges; cannot embed".into(),
-        ));
-    }
-    let p_tilde = adj.sym_normalized();
-    // S_dense = (1/T) Σ_{t=1..T} P̃ᵗ, accumulated via sparse × dense.
-    let mut power = DenseMatrix::identity(n);
-    let mut s_acc = DenseMatrix::zeros(n, n);
-    for _t in 0..params.window {
-        power = spmm_par(&p_tilde, &power, params.threads);
-        s_acc.add_scaled(1.0 / params.window as f64, &power)?;
-    }
-    // M = (vol / b) · D^{-1/2} S D^{-1/2}, then log(max(M, 1)).
-    let inv_sqrt: Vec<f64> = deg
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let scale = vol / params.negative;
-    for i in 0..n {
-        let row = s_acc.row_mut(i);
-        let isi = inv_sqrt[i];
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = (*v * isi * inv_sqrt[j] * scale).max(1.0).ln();
+    let m = {
+        let mut span = mvag_obs::span("train.netmf_similarity");
+        let m = netmf_similarity(l, params)?;
+        if span.is_live() {
+            let nnz = m.data().iter().filter(|&&v| v != 0.0).count();
+            span.counter("similarity_nnz", nnz as u64);
         }
-    }
+        m
+    };
     // Rank-d randomized SVD; embedding = U √Σ.
-    let svd = rsvd(
-        &s_acc,
-        params.dim,
-        &RsvdOptions {
-            seed: params.seed,
-            threads: params.threads,
-            ..Default::default()
-        },
-    )?;
+    let svd = {
+        let _span = mvag_obs::span("train.rsvd");
+        rsvd(
+            &m,
+            params.dim,
+            &RsvdOptions {
+                seed: params.seed,
+                threads: params.threads,
+                ..Default::default()
+            },
+        )?
+    };
     let mut emb = svd.u;
     for j in 0..params.dim {
         let s = svd.s[j].max(0.0).sqrt();
@@ -211,14 +202,87 @@ fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     Ok(emb)
 }
 
-/// Sparse × dense product for the NetMF power accumulation: one pooled
-/// traversal of each CSR row updates the whole dense block
-/// ([`CsrMatrix::matvec_block`] — the same fused kernel the block
-/// subspace eigensolver uses).
-fn spmm_par(a: &CsrMatrix, b: &DenseMatrix, threads: usize) -> DenseMatrix {
-    let mut out = DenseMatrix::zeros(a.nrows(), b.ncols());
-    a.matvec_block(b, &mut out, threads);
-    out
+/// NetMF's log similarity `M = log(max((vol/b) · D^{-1/2} S D^{-1/2}, 1))`
+/// with `S = (1/T) Σ_{t=1..T} P̃ᵗ`, densified.
+///
+/// `P̃¹ = P̃` is scattered, not multiplied out; each later power is one
+/// pooled pass of [`CsrMatrix::matvec_block_row`] over two ping-pong
+/// `n × n` buffers, and the same row pass adds `P̃ᵗ/T` into `S`. Every
+/// element is the same ascending sum at every thread count.
+fn netmf_similarity(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
+    let n = l.nrows();
+    let adj = adjacency_from_laplacian(l);
+    let deg = adj.row_sums();
+    let vol: f64 = deg.iter().sum();
+    if vol <= 0.0 {
+        return Err(SglaError::InvalidArgument(
+            "integrated graph has no edges; cannot embed".into(),
+        ));
+    }
+    let p_tilde = adj.sym_normalized();
+    let alpha = 1.0 / params.window as f64;
+    let threads = params.threads;
+    // The power buffers are allocated before S and dropped before M is
+    // factorized, so they are freed as one contiguous block that the
+    // allocator can reuse or release: peak RSS over repeated
+    // train/update calls stays at three n × n buffers.
+    let mut power = DenseMatrix::zeros(n, n);
+    let mut next = DenseMatrix::zeros(n, n);
+    let mut s_acc = DenseMatrix::zeros(n, n);
+    power_step(&mut s_acc, &mut power, alpha, threads, |r, out| {
+        for (&c, &v) in p_tilde.row_cols(r).iter().zip(p_tilde.row_vals(r)) {
+            out[c] = v;
+        }
+    });
+    for _t in 1..params.window {
+        power_step(&mut s_acc, &mut next, alpha, threads, |r, out| {
+            p_tilde.matvec_block_row(r, &power, out);
+        });
+        std::mem::swap(&mut power, &mut next);
+    }
+    drop((power, next));
+    // M = (vol / b) · D^{-1/2} S D^{-1/2}, then log(max(M, 1)).
+    let inv_sqrt: Vec<f64> = deg
+        .iter()
+        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+        .collect();
+    let scale = vol / params.negative;
+    let mut rows: Vec<&mut [f64]> = s_acc.data_mut().chunks_mut(n).collect();
+    par_chunks_mut(&mut rows, threads, |start, block| {
+        for (off, row) in block.iter_mut().enumerate() {
+            let isi = inv_sqrt[start + off];
+            for (v, &isj) in row.iter_mut().zip(&inv_sqrt) {
+                *v = (*v * isi * isj * scale).max(1.0).ln();
+            }
+        }
+    });
+    Ok(s_acc)
+}
+
+/// One pooled pass over the rows of `power` and `s_acc`: `fill(r, row)`
+/// writes row `r` of the next power, which is then added into `s_acc`
+/// as `s_acc += alpha · row`.
+fn power_step(
+    s_acc: &mut DenseMatrix,
+    power: &mut DenseMatrix,
+    alpha: f64,
+    threads: usize,
+    fill: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    let n = s_acc.ncols();
+    let mut rows: Vec<(&mut [f64], &mut [f64])> = power
+        .data_mut()
+        .chunks_mut(n)
+        .zip(s_acc.data_mut().chunks_mut(n))
+        .collect();
+    par_chunks_mut(&mut rows, threads, |start, block| {
+        for (off, (row, acc)) in block.iter_mut().enumerate() {
+            fill(start + off, row);
+            for (a, &p) in acc.iter_mut().zip(row.iter()) {
+                *a += alpha * p;
+            }
+        }
+    });
 }
 
 fn spectral_embed(
@@ -296,6 +360,7 @@ mod tests {
     use mvag_graph::generators::{balanced_labels, sbm, SbmConfig};
     use mvag_graph::toy::toy_mvag;
     use mvag_sparse::vecops;
+    use proptest::prelude::*;
 
     fn planted_laplacian(n: usize, seed: u64) -> (CsrMatrix, Vec<usize>) {
         let labels = balanced_labels(n, 2).unwrap();
@@ -476,13 +541,114 @@ mod tests {
     }
 
     #[test]
-    fn spmm_matches_sequential_matvec() {
-        let (l, _) = planted_laplacian(80, 13);
-        let b = DenseMatrix::identity(80);
-        let prod = spmm_par(&l, &b, 4);
-        // l × I = l.
-        for (r, c, v) in l.iter() {
-            assert!((prod[(r, c)] - v).abs() < 1e-12);
+    fn non_finite_laplacian_rejected() {
+        for backend in [EmbedBackend::NetMf, EmbedBackend::Spectral] {
+            let (mut l, _) = planted_laplacian(60, 13);
+            l.values_mut()[5] = f64::NAN;
+            let params = EmbedParams {
+                dim: 4,
+                backend,
+                ..Default::default()
+            };
+            assert!(matches!(
+                embed(&l, &params),
+                Err(SglaError::InvalidArgument(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn netmf_bits_do_not_depend_on_thread_count() {
+        let (l, _) = planted_laplacian(220, 17);
+        let run = |threads| {
+            let params = EmbedParams {
+                dim: 16,
+                backend: EmbedBackend::NetMf,
+                threads,
+                ..Default::default()
+            };
+            embed(&l, &params).unwrap()
+        };
+        let one = run(1);
+        for threads in 2..=4 {
+            assert_eq!(run(threads), one, "threads {threads}");
+        }
+    }
+
+    /// The power loop the ping-pong row passes replaced: `P̃ · I` for the
+    /// first power, a fresh `n × n` block per step, a serial
+    /// `add_scaled` and a serial log pass. Kept as the bit-identity
+    /// oracle.
+    fn reference_similarity(l: &CsrMatrix, params: &EmbedParams) -> DenseMatrix {
+        let n = l.nrows();
+        let adj = adjacency_from_laplacian(l);
+        let deg = adj.row_sums();
+        let vol: f64 = deg.iter().sum();
+        let p_tilde = adj.sym_normalized();
+        let mut power = DenseMatrix::identity(n);
+        let mut s_acc = DenseMatrix::zeros(n, n);
+        for _t in 0..params.window {
+            let mut next = DenseMatrix::zeros(n, n);
+            p_tilde.matvec_block(&power, &mut next, params.threads);
+            power = next;
+            s_acc
+                .add_scaled(1.0 / params.window as f64, &power)
+                .unwrap();
+        }
+        let inv_sqrt: Vec<f64> = deg
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+            .collect();
+        let scale = vol / params.negative;
+        for i in 0..n {
+            let row = s_acc.row_mut(i);
+            let isi = inv_sqrt[i];
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = (*v * isi * inv_sqrt[j] * scale).max(1.0).ln();
+            }
+        }
+        s_acc
+    }
+
+    /// A Laplacian-shaped matrix: unit diagonal, negative off-diagonal
+    /// weights (some nodes isolated) and a few positive off-diagonal
+    /// entries that the adjacency recovery must drop.
+    fn oracle_laplacian(n: usize, seed: u64) -> CsrMatrix {
+        let mut rng = TestRng::new(seed);
+        let isolated: Vec<bool> = (0..n).map(|_| rng.below(7) == 0).collect();
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 1.0).unwrap();
+            for j in (i + 1)..n {
+                if isolated[i] || isolated[j] || rng.below(4) != 0 {
+                    continue;
+                }
+                let w = rng.unit_f64() + 1e-3;
+                let sign = if rng.below(9) == 0 { 1.0 } else { -1.0 };
+                coo.push_sym(i, j, sign * w).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn similarity_matches_reference(
+            n in 2usize..70,
+            window in 1usize..7,
+            negative in 0.5f64..2.0,
+            threads in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let l = oracle_laplacian(n, seed);
+            let params = EmbedParams { window, negative, threads, ..Default::default() };
+            let ctx = format!("n = {n}, window = {window}, threads = {threads}, seed = {seed}");
+            match netmf_similarity(&l, &params) {
+                Ok(m) => prop_assert_eq!(m, reference_similarity(&l, &params), "{}", ctx),
+                Err(_) => prop_assert_eq!(adjacency_from_laplacian(&l).nnz(), 0, "{}", ctx),
+            }
         }
     }
 }

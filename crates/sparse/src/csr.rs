@@ -257,7 +257,8 @@ impl CsrMatrix {
     /// that makes block subspace iteration stream-bound instead of
     /// latency-bound. Per column, accumulation order matches
     /// [`Self::matvec`] exactly, so results are bit-identical to `b`
-    /// separate matvecs. Parallel over row ranges via the worker pool.
+    /// separate matvecs at every thread count. Parallel over row ranges
+    /// via the worker pool; each row is [`Self::matvec_block_row`].
     pub fn matvec_block(&self, x: &DenseMatrix, y: &mut DenseMatrix, threads: usize) {
         debug_assert_eq!(x.nrows(), self.ncols, "matvec_block: x rows");
         debug_assert_eq!(y.nrows(), self.nrows, "matvec_block: y rows");
@@ -268,13 +269,7 @@ impl CsrMatrix {
         }
         let body = |start: usize, block: &mut [&mut [f64]]| {
             for (off, out_row) in block.iter_mut().enumerate() {
-                let r = start + off;
-                out_row.fill(0.0);
-                for (&c, &v) in self.row_cols(r).iter().zip(self.row_vals(r)) {
-                    for (o, &xv) in out_row.iter_mut().zip(x.row(c)) {
-                        *o += v * xv;
-                    }
-                }
+                self.matvec_block_row(start + off, x, out_row);
             }
         };
         let mut rows: Vec<&mut [f64]> = y.data_mut().chunks_mut(b).collect();
@@ -283,6 +278,50 @@ impl CsrMatrix {
         } else {
             par_chunks_mut(&mut rows, threads, |start, block| body(start, block));
         }
+    }
+
+    /// Row `r` of [`Self::matvec_block`]: `out ← A[r, :] · X`, the one
+    /// row kernel behind every block product. Four stored entries are
+    /// applied per sweep over `out` as
+    /// `o = (((o + v₀x₀) + v₁x₁) + v₂x₂) + v₃x₃`, which keeps
+    /// [`Self::matvec`]'s ascending summation order (so the bits match)
+    /// while loading and storing each output element a quarter as often.
+    pub fn matvec_block_row(&self, r: usize, x: &DenseMatrix, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), x.ncols(), "matvec_block_row: out width");
+        out.fill(0.0);
+        let (cols, vals) = (self.row_cols(r), self.row_vals(r));
+        let (quad_cols, quad_vals) = (cols.chunks_exact(4), vals.chunks_exact(4));
+        let (tail_cols, tail_vals) = (quad_cols.remainder(), quad_vals.remainder());
+        for (c, v) in quad_cols.zip(quad_vals) {
+            let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+            let rows = x.row(c[0]).iter().zip(x.row(c[1])).zip(x.row(c[2]));
+            for (o, (((&x0, &x1), &x2), &x3)) in out.iter_mut().zip(rows.zip(x.row(c[3]))) {
+                *o = (((*o + v0 * x0) + v1 * x1) + v2 * x2) + v3 * x3;
+            }
+        }
+        for (&c, &v) in tail_cols.iter().zip(tail_vals) {
+            for (o, &xv) in out.iter_mut().zip(x.row(c)) {
+                *o += v * xv;
+            }
+        }
+    }
+
+    /// The stored entries of a dense matrix: every element that is not
+    /// `±0.0` becomes an explicit entry, rows in order.
+    pub(crate) fn from_dense(d: &DenseMatrix) -> CsrMatrix {
+        let mut indptr = Vec::with_capacity(d.nrows() + 1);
+        indptr.push(0usize);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..d.nrows() {
+            for (c, &v) in d.row(r).iter().enumerate() {
+                if v != 0.0 {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            }
+            indptr.push(cols.len());
+        }
+        CsrMatrix::from_raw_parts_unchecked(d.nrows(), d.ncols(), indptr, cols, vals)
     }
 
     /// `y ← A x` over up to `threads` persistent pool workers with

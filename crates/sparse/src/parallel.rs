@@ -7,7 +7,11 @@
 //! region — instead of spawning fresh OS threads per call; chunk stealing
 //! inside the pool absorbs skewed row costs. Results are identical to the
 //! sequential path bit-for-bit: every index is computed independently, so
-//! chunk boundaries cannot change any floating-point result.
+//! chunk boundaries cannot change any floating-point result. The dense
+//! kernels built on them keep that contract too: the randomized SVD
+//! ([`crate::svd::rsvd`]) computes every product as per-row sums (no
+//! per-thread partials), so it, and the NetMF embedding built on it,
+//! give the same bits at every thread count.
 //!
 //! The pre-pool implementation (fresh `std::thread::scope` per region) is
 //! preserved under the `scoped-baseline` feature as [`scoped`] so the

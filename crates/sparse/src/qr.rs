@@ -22,43 +22,42 @@ pub fn qr_thin(a: &DenseMatrix) -> Result<(DenseMatrix, DenseMatrix)> {
             "qr_thin needs n >= k, got {n}x{k}"
         )));
     }
-    let mut q = a.clone();
+    // MGS2 on a transposed working copy: column j of Q is row j of
+    // `qt`, so every pass walks contiguous memory instead of striding
+    // down a row-major panel. Same operations in the same order.
+    let mut qt = a.transpose();
     let mut r = DenseMatrix::zeros(k, k);
-    let mut col = vec![0.0; n];
     for j in 0..k {
-        for (i, c) in col.iter_mut().enumerate() {
-            *c = q[(i, j)];
-        }
+        let (done, rest) = qt.data_mut().split_at_mut(j * n);
+        let col = &mut rest[..n];
         // Two MGS passes against previous columns.
         for _pass in 0..2 {
-            for p in 0..j {
+            for (p, qp) in done.chunks_exact(n).enumerate() {
                 let mut proj = 0.0;
-                for i in 0..n {
-                    proj += q[(i, p)] * col[i];
+                for (&qi, &ci) in qp.iter().zip(col.iter()) {
+                    proj += qi * ci;
                 }
                 if proj != 0.0 {
-                    for i in 0..n {
-                        col[i] -= proj * q[(i, p)];
+                    for (ci, &qi) in col.iter_mut().zip(qp) {
+                        *ci -= proj * qi;
                     }
                     r[(p, j)] += proj;
                 }
             }
         }
-        let nrm = vecops::norm2(&col);
+        let nrm = vecops::norm2(col);
         r[(j, j)] = nrm;
         if nrm > f64::EPSILON * (n as f64).sqrt() {
             let inv = 1.0 / nrm;
-            for i in 0..n {
-                q[(i, j)] = col[i] * inv;
+            for ci in col.iter_mut() {
+                *ci *= inv;
             }
         } else {
-            for i in 0..n {
-                q[(i, j)] = 0.0;
-            }
+            col.fill(0.0);
             r[(j, j)] = 0.0;
         }
     }
-    Ok((q, r))
+    Ok((qt.transpose(), r))
 }
 
 /// Numerical rank read off the diagonal of `R` from [`qr_thin`].
@@ -101,6 +100,93 @@ pub fn subspace_residual(e: &DenseMatrix, reference: &DenseMatrix) -> Result<f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The in-place MGS2 the transposed kernel replaced: it walks
+    /// `q[(i, p)]` down the columns of the row-major panel. Kept as the
+    /// bit-identity oracle.
+    fn reference_qr_thin(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
+        let (n, k) = (a.nrows(), a.ncols());
+        let mut q = a.clone();
+        let mut r = DenseMatrix::zeros(k, k);
+        let mut col = vec![0.0; n];
+        for j in 0..k {
+            for (i, c) in col.iter_mut().enumerate() {
+                *c = q[(i, j)];
+            }
+            for _pass in 0..2 {
+                for p in 0..j {
+                    let mut proj = 0.0;
+                    for i in 0..n {
+                        proj += q[(i, p)] * col[i];
+                    }
+                    if proj != 0.0 {
+                        for i in 0..n {
+                            col[i] -= proj * q[(i, p)];
+                        }
+                        r[(p, j)] += proj;
+                    }
+                }
+            }
+            let nrm = vecops::norm2(&col);
+            r[(j, j)] = nrm;
+            if nrm > f64::EPSILON * (n as f64).sqrt() {
+                let inv = 1.0 / nrm;
+                for i in 0..n {
+                    q[(i, j)] = col[i] * inv;
+                }
+            } else {
+                for i in 0..n {
+                    q[(i, j)] = 0.0;
+                }
+                r[(j, j)] = 0.0;
+            }
+        }
+        (q, r)
+    }
+
+    /// A panel with zero rows, zero columns and repeated (rank-deficient)
+    /// columns mixed into random ones.
+    fn oracle_panel(n: usize, k: usize, seed: u64) -> DenseMatrix {
+        let mut rng = TestRng::new(seed);
+        let mut a = DenseMatrix::zeros(n, k);
+        for j in 0..k {
+            match rng.below(6) {
+                0 => {}
+                1 if j > 0 => {
+                    let src = a.col(rng.below(j as u64) as usize);
+                    a.set_col(j, &src);
+                }
+                _ => {
+                    for i in 0..n {
+                        a[(i, j)] = rng.unit_f64() * 2.0 - 1.0;
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            if rng.below(5) == 0 {
+                a.row_mut(i).fill(0.0);
+            }
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn transposed_qr_matches_reference(
+            (n, k) in (1usize..90).prop_flat_map(|n| (Just(n), 1..(n + 1).min(20))),
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = oracle_panel(n, k, seed);
+            let (q, r) = qr_thin(&a).unwrap();
+            let (q_ref, r_ref) = reference_qr_thin(&a);
+            prop_assert_eq!(q, q_ref, "n = {}, k = {}, seed = {}", n, k, seed);
+            prop_assert_eq!(r, r_ref, "n = {}, k = {}, seed = {}", n, k, seed);
+        }
+    }
 
     fn check_orthonormal(q: &DenseMatrix, rank_cols: &[usize]) {
         for &i in rank_cols {

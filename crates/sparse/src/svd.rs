@@ -6,9 +6,9 @@
 //! matters because log-transformed similarity matrices have heavy tails.
 
 use crate::eigen::jacobi::jacobi_eig;
-use crate::parallel::{default_threads, par_chunks_mut};
+use crate::parallel::default_threads;
 use crate::qr::qr_thin;
-use crate::{DenseMatrix, Result, SparseError};
+use crate::{CsrMatrix, DenseMatrix, Result, SparseError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +32,8 @@ pub struct RsvdOptions {
     pub power_iters: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the dense products (default: autodetect, ≤ 16).
+    /// Worker threads for the products (default: autodetect, ≤ 16).
+    /// The result is the same at every thread count.
     pub threads: usize,
 }
 
@@ -49,9 +50,15 @@ impl Default for RsvdOptions {
 
 /// Computes a rank-`rank` randomized SVD of `a`.
 ///
+/// The products with `A` touch its nonzeros only: they are collected
+/// once into a [`CsrMatrix`] and its transpose, and every product is a
+/// [`CsrMatrix::matvec_block`] (`A·X`, `AᵀQ`, and `B = QᵀA` as the
+/// transpose of `AᵀQ`). Each output element is one ascending sum over
+/// the nonzeros, so the result does not depend on `opts.threads`.
+///
 /// # Errors
-/// [`SparseError::InvalidArgument`] if `rank == 0` or exceeds
-/// `min(nrows, ncols)`.
+/// [`SparseError::InvalidArgument`] if `rank == 0`, `rank` exceeds
+/// `min(nrows, ncols)`, or `a` holds a non-finite value.
 pub fn rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> Result<TruncatedSvd> {
     let (n, m) = (a.nrows(), a.ncols());
     if rank == 0 || rank > n.min(m) {
@@ -59,29 +66,45 @@ pub fn rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> Result<Truncate
             "rsvd rank {rank} invalid for {n}x{m} matrix"
         )));
     }
+    if a.data().iter().any(|v| !v.is_finite()) {
+        return Err(SparseError::InvalidArgument(
+            "rsvd input holds a non-finite value".into(),
+        ));
+    }
     let l = (rank + opts.oversample).min(n.min(m));
     let mut rng = StdRng::seed_from_u64(opts.seed);
+    let a_sparse = CsrMatrix::from_dense(a);
+    let at_sparse = a_sparse.transpose();
+    let times = |op: &CsrMatrix, x: &DenseMatrix| {
+        let mut y = DenseMatrix::zeros(op.nrows(), x.ncols());
+        op.matvec_block(x, &mut y, opts.threads);
+        y
+    };
 
     // Sketch: Y = A Ω.
     let omega = gaussian(m, l, &mut rng);
-    let mut y = matmul_par(a, &omega, opts.threads)?;
-    let (mut q, _) = qr_thin(&y)?;
+    let (mut q, _) = qr_thin(&times(&a_sparse, &omega))?;
     // Power iterations with re-orthogonalization: Q ← orth(A Aᵀ Q).
     for _ in 0..opts.power_iters {
-        let z = matmul_tn_par(a, &q, opts.threads)?; // Aᵀ Q  (m × l)
-        let (qz, _) = qr_thin(&z)?;
-        y = matmul_par(a, &qz, opts.threads)?; // A Qz (n × l)
-        let (q2, _) = qr_thin(&y)?;
+        let (qz, _) = qr_thin(&times(&at_sparse, &q))?; // orth(Aᵀ Q)  (m × l)
+        let (q2, _) = qr_thin(&times(&a_sparse, &qz))?; // orth(A Qz)  (n × l)
         q = q2;
     }
-    // B = Qᵀ A  (l × m)
-    let b = matmul_tn_par_left(&q, a, opts.threads)?;
-    // Small-side eigendecomposition of B Bᵀ (l × l).
+    // B = Qᵀ A = (Aᵀ Q)ᵀ  (l × m)
+    let b = times(&at_sparse, &q).transpose();
+    factor_projection(&q, &b, rank)
+}
+
+/// The small-side finish of [`rsvd`] (and of its test oracle): the SVD
+/// of the projection `B = QᵀA` through the eigendecomposition of
+/// `B Bᵀ` (`l × l`), lifted back through `Q`.
+fn factor_projection(q: &DenseMatrix, b: &DenseMatrix, rank: usize) -> Result<TruncatedSvd> {
+    let l = b.nrows();
     let bbt = b.matmul(&b.transpose())?;
     let eig = jacobi_eig(&bbt)?;
     // Descending singular values.
     let mut order: Vec<usize> = (0..eig.values.len()).collect();
-    order.sort_by(|&x, &y2| eig.values[y2].partial_cmp(&eig.values[x]).expect("finite"));
+    order.sort_by(|&x, &y| eig.values[y].total_cmp(&eig.values[x]));
     let mut s = Vec::with_capacity(rank);
     let mut u_small = DenseMatrix::zeros(l, rank);
     for (j, &col) in order.iter().take(rank).enumerate() {
@@ -89,111 +112,16 @@ pub fn rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> Result<Truncate
         u_small.set_col(j, &eig.vectors.col(col));
     }
     let u = q.matmul(&u_small)?; // n × rank
-                                 // Vᵀ = Σ⁻¹ Ũᵀ B.
-    let ut_b = u_small.transpose().matmul(&b)?; // rank × m
-    let mut vt = ut_b;
-    for j in 0..rank {
-        let inv = if s[j] > 1e-300 { 1.0 / s[j] } else { 0.0 };
-        for c in 0..m {
-            vt[(j, c)] *= inv;
+
+    // Vᵀ = Σ⁻¹ Ũᵀ B  (rank × m)
+    let mut vt = u_small.transpose().matmul(b)?;
+    for (j, &sj) in s.iter().enumerate() {
+        let inv = if sj > 1e-300 { 1.0 / sj } else { 0.0 };
+        for v in vt.row_mut(j) {
+            *v *= inv;
         }
     }
     Ok(TruncatedSvd { u, s, vt })
-}
-
-/// `A · B` with row-parallelism over `A`.
-///
-/// # Errors
-/// Shape mismatch.
-pub fn matmul_par(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch(format!(
-            "{}x{} · {}x{}",
-            a.nrows(),
-            a.ncols(),
-            b.nrows(),
-            b.ncols()
-        )));
-    }
-    let (n, k, m) = (a.nrows(), a.ncols(), b.ncols());
-    let mut out = vec![0.0f64; n * m];
-    let chunks: Vec<&mut [f64]> = out.chunks_mut(m).collect();
-    let mut rows = chunks;
-    par_chunks_mut(&mut rows, threads, |start, block| {
-        for (off, out_row) in block.iter_mut().enumerate() {
-            let i = start + off;
-            let arow = a.row(i);
-            for p in 0..k {
-                let aip = arow[p];
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = b.row(p);
-                for (j, &bpj) in brow.iter().enumerate() {
-                    out_row[j] += aip * bpj;
-                }
-            }
-        }
-    });
-    DenseMatrix::from_vec(n, m, out)
-}
-
-/// `Aᵀ · B` where both have `n` rows (result `a.ncols × b.ncols`),
-/// parallelized over row blocks with per-thread accumulators.
-fn matmul_tn_par(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if a.nrows() != b.nrows() {
-        return Err(SparseError::ShapeMismatch(format!(
-            "tn: {} rows vs {} rows",
-            a.nrows(),
-            b.nrows()
-        )));
-    }
-    // Small output (l × l or m × l with small l): per-thread partials.
-    let (ka, kb) = (a.ncols(), b.ncols());
-    let threads = threads.clamp(1, a.nrows().max(1));
-    let rows = a.nrows();
-    let chunk = rows.div_ceil(threads);
-    let partials: Vec<DenseMatrix> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(rows);
-            if lo >= hi {
-                break;
-            }
-            handles.push(scope.spawn(move || {
-                let mut acc = DenseMatrix::zeros(ka, kb);
-                for r in lo..hi {
-                    let arow = a.row(r);
-                    let brow = b.row(r);
-                    for (i, &ai) in arow.iter().enumerate() {
-                        if ai == 0.0 {
-                            continue;
-                        }
-                        let acc_row = acc.row_mut(i);
-                        for (j, &bj) in brow.iter().enumerate() {
-                            acc_row[j] += ai * bj;
-                        }
-                    }
-                }
-                acc
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no panic"))
-            .collect()
-    });
-    let mut out = DenseMatrix::zeros(ka, kb);
-    for p in partials {
-        out.add_scaled(1.0, &p)?;
-    }
-    Ok(out)
-}
-
-/// `Qᵀ · A` (result `q.ncols × a.ncols`), parallel over shared rows.
-fn matmul_tn_par_left(q: &DenseMatrix, a: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    matmul_tn_par(q, a, threads)
 }
 
 fn gaussian(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
@@ -300,22 +228,133 @@ mod tests {
     }
 
     #[test]
-    fn matmul_par_matches_sequential() {
-        let a = low_rank_matrix(33, 21, 7, 1);
-        let b = low_rank_matrix(21, 17, 7, 2);
-        let c1 = a.matmul(&b).unwrap();
-        let c2 = matmul_par(&a, &b, 4).unwrap();
-        for i in 0..33 {
-            for j in 0..17 {
-                assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-12);
+    fn non_finite_input_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = low_rank_matrix(20, 12, 3, 4);
+            a[(7, 5)] = bad;
+            assert!(matches!(
+                rsvd(&a, 3, &RsvdOptions::default()),
+                Err(SparseError::InvalidArgument(_))
+            ));
+        }
+    }
+
+    /// The dense-product `rsvd` the sparse products replaced, at one
+    /// thread: `A·X` as `matmul_par`'s row loop (`DenseMatrix::matmul`,
+    /// zero entries of `A` skipped), `AᵀQ` and `QᵀA` as `matmul_tn_par`'s
+    /// single partial (`DenseMatrix::gram`) added into a zero matrix.
+    /// Kept as the bit-identity oracle.
+    fn reference_rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> TruncatedSvd {
+        let tn = |x: &DenseMatrix, y: &DenseMatrix| {
+            let mut out = DenseMatrix::zeros(x.ncols(), y.ncols());
+            out.add_scaled(1.0, &x.gram(y).unwrap()).unwrap();
+            out
+        };
+        let (n, m) = (a.nrows(), a.ncols());
+        let l = (rank + opts.oversample).min(n.min(m));
+        let mut rng = StdRng::seed_from_u64(opts.seed);
+        let omega = gaussian(m, l, &mut rng);
+        let (mut q, _) = qr_thin(&a.matmul(&omega).unwrap()).unwrap();
+        for _ in 0..opts.power_iters {
+            let (qz, _) = qr_thin(&tn(a, &q)).unwrap();
+            let (q2, _) = qr_thin(&a.matmul(&qz).unwrap()).unwrap();
+            q = q2;
+        }
+        factor_projection(&q, &tn(&q, a), rank).unwrap()
+    }
+
+    /// A sparse nonnegative matrix (a thresholded low-rank product, like
+    /// NetMF's log similarity) with some all-zero rows and columns.
+    fn oracle_matrix(n: usize, m: usize, seed: u64) -> DenseMatrix {
+        let mut a = low_rank_matrix(n, m, (n.min(m) / 2).max(1), seed);
+        let mut rng = proptest::prelude::TestRng::new(seed);
+        let zero_rows: Vec<bool> = (0..n).map(|_| rng.below(6) == 0).collect();
+        let zero_cols: Vec<bool> = (0..m).map(|_| rng.below(6) == 0).collect();
+        for i in 0..n {
+            for j in 0..m {
+                let v = &mut a[(i, j)];
+                *v = if zero_rows[i] || zero_cols[j] {
+                    0.0
+                } else {
+                    v.max(0.0)
+                };
             }
+        }
+        a
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sparse_products_match_dense_reference(
+            n in 2usize..60,
+            m in 2usize..60,
+            rank_pick in 0usize..64,
+            threads in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            // rank_pick ≥ 48 forces the full rank min(n, m).
+            let full = n.min(m);
+            let rank = if rank_pick >= 48 { full } else { 1 + rank_pick % full };
+            let a = oracle_matrix(n, m, seed);
+            let opts = RsvdOptions { seed, threads, ..Default::default() };
+            let got = rsvd(&a, rank, &opts).unwrap();
+            let want = reference_rsvd(&a, rank, &RsvdOptions { threads: 1, ..opts });
+            let ctx = format!("n = {n}, m = {m}, rank = {rank}, threads = {threads}, seed = {seed}");
+            proptest::prop_assert_eq!(&got.u, &want.u, "{}", ctx);
+            proptest::prop_assert_eq!(&got.s, &want.s, "{}", ctx);
+            proptest::prop_assert_eq!(&got.vt, &want.vt, "{}", ctx);
         }
     }
 
     #[test]
-    fn matmul_par_shape_check() {
-        let a = DenseMatrix::zeros(3, 4);
-        let b = DenseMatrix::zeros(5, 2);
-        assert!(matmul_par(&a, &b, 2).is_err());
+    fn sparse_products_match_dense_reference_at_pool_sizes() {
+        // Large enough that every product runs on the worker pool.
+        let a = oracle_matrix(240, 200, 5);
+        let want = reference_rsvd(
+            &a,
+            16,
+            &RsvdOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        for threads in 1..=4 {
+            let got = rsvd(
+                &a,
+                16,
+                &RsvdOptions {
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                (&got.u, &got.s, &got.vt),
+                (&want.u, &want.s, &want.vt),
+                "threads {threads}"
+            );
+        }
+        // The zero matrix: rank-deficient everywhere.
+        let z = DenseMatrix::zeros(30, 20);
+        let got = rsvd(
+            &z,
+            20,
+            &RsvdOptions {
+                threads: 3,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let want = reference_rsvd(
+            &z,
+            20,
+            &RsvdOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!((&got.u, &got.s, &got.vt), (&want.u, &want.s, &want.vt));
     }
 }

@@ -205,16 +205,32 @@ proptest! {
     }
 
     #[test]
-    fn matvec_block_bit_identical_to_columnwise(coo in coo_strategy(22, 70)) {
+    fn matvec_block_bit_identical_to_columnwise(
+        (n, row_lens) in (1usize..40).prop_flat_map(|n| {
+            (Just(n), proptest::collection::vec(0usize..10, n))
+        }),
+        b in 1usize..10,
+        threads in 1usize..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Every row holds 0–9 entries (distinct columns), so each
+        // four-entry unroll tail length occurs; widths 1–9 cover every
+        // block shape the unroll meets.
+        let mut rng = TestRng::new(seed);
+        let mut coo = CooMatrix::new(n, n);
+        for (r, &len) in row_lens.iter().enumerate() {
+            let start = rng.below(n as u64) as usize;
+            for t in 0..len.min(n) {
+                coo.push(r, (start + t) % n, rng.unit_f64() * 20.0 - 10.0).unwrap();
+            }
+        }
         let csr = coo.to_csr();
-        let n = csr.nrows();
-        let b = 4;
         let mut x = DenseMatrix::zeros(n, b);
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = ((i * 131) % 17) as f64 - 8.0;
+        for v in x.data_mut() {
+            *v = rng.unit_f64() * 16.0 - 8.0;
         }
         let mut y = DenseMatrix::zeros(n, b);
-        csr.matvec_block(&x, &mut y, 4);
+        csr.matvec_block(&x, &mut y, threads);
         let mut xc = vec![0.0; n];
         let mut yc = vec![0.0; n];
         for j in 0..b {
