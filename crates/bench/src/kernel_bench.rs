@@ -19,16 +19,20 @@
 //! * **qr_thin** — MGS2 thin QR of an `n × 72` panel (the randomized-SVD
 //!   panel width at the paper's dim 64);
 //! * **netmf** — the whole NetMF embedding (dim 64, window 5) of a
-//!   random graph: similarity powers, log, randomized SVD.
+//!   random graph: similarity powers, log, randomized SVD;
+//! * **lanczos** — the 9 smallest eigenvalues of a fused 3-view
+//!   normalized Laplacian (the SGLA+ inner eigensolve), with its
+//!   operator-application count.
 //!
 //! Every timed pair is also *verified*: pooled vs sequential and block
 //! vs column-wise must agree bit-for-bit, fused vs lazy within a 1e-10
-//! relative tolerance, and NetMF at `threads` must equal NetMF at one
-//! thread bit-for-bit. Any divergence fails the run (nonzero exit) —
+//! relative tolerance, and NetMF and Lanczos at `threads` must equal
+//! their one-thread results bit-for-bit. Any divergence fails the run (nonzero exit) —
 //! this is the CI gate that keeps the fused kernels honest.
 
 use mvag_data::json::Value;
 use mvag_graph::knn::{knn_graph, KnnConfig};
+use mvag_sparse::eigen::{smallest_eigenvalues_full, EigOptions};
 use mvag_sparse::parallel::scoped;
 use mvag_sparse::qr::qr_thin;
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp, ScaledSumOp};
@@ -54,6 +58,8 @@ pub struct KernelBenchConfig {
     pub knn_dim: usize,
     /// Node counts for the `qr_thin` (`n × 72`) and NetMF benchmarks.
     pub netmf_sizes: Vec<usize>,
+    /// Node counts for the Lanczos eigensolve benchmark.
+    pub lanczos_sizes: Vec<usize>,
     /// RNG seed.
     pub seed: u64,
     /// Smoke mode: tiny sizes, few reps — correctness gate only.
@@ -71,6 +77,7 @@ impl Default for KernelBenchConfig {
             knn_sizes: vec![500, 1_500],
             knn_dim: 32,
             netmf_sizes: vec![1_500],
+            lanczos_sizes: vec![2_000],
             seed: 2025,
             smoke: false,
         }
@@ -114,6 +121,8 @@ pub struct KernelTiming {
     pub p50_us: f64,
     /// Mean per-application latency, microseconds.
     pub mean_us: f64,
+    /// Operator applications per run (eigensolver kernels only).
+    pub matvecs: Option<usize>,
 }
 
 /// Full benchmark outcome.
@@ -209,6 +218,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || {
             scoped::matvec_parallel(a, &x, &mut y_scoped, threads)
@@ -220,6 +230,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || a.matvec_parallel(&x, &mut y_pooled, threads));
         timings.push(KernelTiming {
@@ -229,6 +240,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         a.matvec(&x, &mut y_seq);
         if y_pooled != y_seq {
@@ -278,6 +290,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let mut y_lazy = vec![0.0f64; n];
         let mut y_fused = vec![0.0f64; n];
@@ -289,6 +302,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(reps, || fused.matvec(&x, &mut y_fused));
         timings.push(KernelTiming {
@@ -298,6 +312,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         timings.push(KernelTiming {
             kernel: "multiview_fuse_weight_refresh".into(),
@@ -306,6 +321,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: 1,
             p50_us: fuse_refresh_us,
             mean_us: fuse_refresh_us,
+            matvecs: None,
         });
         timings.push(KernelTiming {
             kernel: "multiview_fuse_pattern_build".into(),
@@ -314,6 +330,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: 1,
             p50_us: fuse_build_us,
             mean_us: fuse_build_us,
+            matvecs: None,
         });
         let rel = max_rel_diff(&y_lazy, &y_fused);
         if rel > 1e-10 {
@@ -357,6 +374,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: block_reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         let (p50, mean) = time_reps(block_reps, || a.matvec_block(&xb, &mut yb, threads));
         timings.push(KernelTiming {
@@ -366,6 +384,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps: block_reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         if yb.data() != y_cols.data() {
             divergences.push(format!(
@@ -400,6 +419,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
     }
 
@@ -420,6 +440,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         // NetMF reads the graph as Â = −offdiag(L), so −A stands in for
         // a Laplacian of the random graph A.
@@ -443,6 +464,7 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
             reps,
             p50_us: p50,
             mean_us: mean,
+            matvecs: None,
         });
         if embed(&l, &params(1)).expect("valid netmf input") != emb {
             divergences.push(format!(
@@ -451,10 +473,53 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         }
     }
 
+    // --- lanczos: 9 smallest eigenvalues of a fused 3-view Laplacian ---
+    for &n in &config.lanczos_sizes {
+        let views: Vec<CsrMatrix> = (0..3)
+            .map(|v| random_laplacian(n, config.per_row, config.seed ^ (n + v) as u64))
+            .collect();
+        let refs: Vec<&CsrMatrix> = views.iter().collect();
+        let solve = |threads: usize| {
+            let op = FusedSumOp::with_threads(refs.clone(), vec![0.5, 0.3, 0.2], threads)
+                .expect("valid views");
+            let opts = EigOptions {
+                threads,
+                ..EigOptions::default()
+            };
+            smallest_eigenvalues_full(&op, 9, &opts).expect("finite operator")
+        };
+        let reps = if config.smoke { 2 } else { 5 };
+        let mut res = solve(threads);
+        let (p50, mean) = time_reps(reps, || res = solve(threads));
+        timings.push(KernelTiming {
+            kernel: "lanczos".into(),
+            n,
+            nnz: views.iter().map(CsrMatrix::nnz).sum(),
+            reps,
+            p50_us: p50,
+            mean_us: mean,
+            matvecs: Some(res.matvecs),
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if bits(&solve(1).values) != bits(&res.values) {
+            divergences.push(format!(
+                "n={n}: lanczos eigenvalues at {threads} threads differ from 1 thread"
+            ));
+        }
+    }
+
     KernelBenchReport {
         timings,
         divergences,
     }
+}
+
+/// Normalized Laplacian `I − D^{-1/2} A D^{-1/2}` of a [`random_csr`]
+/// graph.
+fn random_laplacian(n: usize, per_row: usize, seed: u64) -> CsrMatrix {
+    let p = random_csr(n, per_row, seed).sym_normalized();
+    CsrMatrix::linear_combination(&[&CsrMatrix::identity(n), &p], &[1.0, -1.0])
+        .expect("identity and adjacency share shape")
 }
 
 impl KernelBenchReport {
@@ -479,6 +544,10 @@ impl KernelBenchReport {
                     ("reps", Value::Number(t.reps as f64)),
                     ("p50_us", Value::Number(t.p50_us)),
                     ("mean_us", Value::Number(t.mean_us)),
+                    (
+                        "matvecs",
+                        t.matvecs.map_or(Value::Null, |m| Value::Number(m as f64)),
+                    ),
                 ])
             })
             .collect();
@@ -557,6 +626,7 @@ mod tests {
         config.sizes = vec![300];
         config.knn_sizes = vec![80];
         config.netmf_sizes = vec![100];
+        config.lanczos_sizes = vec![300];
         config.threads = 2;
         let report = run(&config);
         assert!(
@@ -568,6 +638,7 @@ mod tests {
         assert!(report.p50("multiview_spmv_fused", 300).is_some());
         assert!(report.p50("block_spmv_fused", 300).is_some());
         assert!(report.p50("netmf", 100).is_some());
+        assert!(report.p50("lanczos", 300).is_some());
         let json = report.to_json(&config).to_string_pretty();
         assert!(json.contains("verified"));
         assert!(json.contains("speedups"));

@@ -115,6 +115,7 @@ pub fn spectral_clustering_with(
         spectral_span.counter("rounds", pairs.stats.rounds as u64);
         spectral_span.counter("restarts", pairs.stats.restarts as u64);
         spectral_span.counter("reortho_sweeps", pairs.stats.reortho_sweeps as u64);
+        spectral_span.counter("unconverged", pairs.stats.unconverged as u64);
     }
     let mut u = pairs.vectors;
     // Row-normalize (Ng–Jordan–Weiss); zero rows (isolated nodes with no

@@ -170,6 +170,10 @@ pub fn adjacency_from_laplacian(l: &CsrMatrix) -> CsrMatrix {
 
 fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     let n = l.nrows();
+    // The embedding outlives every buffer below. Allocated first, it sits
+    // under them on the heap instead of pinning their freed space there
+    // (glibc only returns the heap's free top to the system).
+    let mut emb = DenseMatrix::zeros(n, params.dim);
     let m = {
         let mut span = mvag_obs::span("train.netmf_similarity");
         let m = netmf_similarity(l, params)?;
@@ -192,11 +196,10 @@ fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
             },
         )?
     };
-    let mut emb = svd.u;
     for j in 0..params.dim {
         let s = svd.s[j].max(0.0).sqrt();
         for i in 0..n {
-            emb[(i, j)] *= s;
+            emb[(i, j)] = svd.u[(i, j)] * s;
         }
     }
     Ok(emb)

@@ -148,6 +148,7 @@ impl<'a> SglaObjective<'a> {
             span.counter("rounds", eig_res.stats.rounds as u64);
             span.counter("restarts", eig_res.stats.restarts as u64);
             span.counter("reortho_sweeps", eig_res.stats.reortho_sweeps as u64);
+            span.counter("unconverged", eig_res.stats.unconverged as u64);
         }
         drop(span);
         let eigenvalues = eig_res.values;

@@ -130,6 +130,19 @@ fn trace_path(flags: &Flags) -> Option<PathBuf> {
     Some(path)
 }
 
+/// Prints one warning line when eigensolves run since `before` (a
+/// reading of [`mvag_sparse::eigen::unconverged_pairs`]) stopped pairs at
+/// their cycle budget short of the tolerance.
+fn warn_unconverged(before: usize) {
+    let pairs = mvag_sparse::eigen::unconverged_pairs() - before;
+    if pairs > 0 {
+        eprintln!(
+            "warning: {pairs} eigenpair(s) reached the eigensolver's cycle budget without \
+             meeting its tolerance; weights and clusters may be less accurate"
+        );
+    }
+}
+
 /// Drains the recorded spans into a Chrome trace-event JSON file.
 fn write_trace(path: &Path) -> Result<(), String> {
     let records = mvag_obs::drain();
@@ -232,12 +245,14 @@ fn train(args: &[String]) -> Result<(), String> {
     let index_config = flags.parse_index()?;
     let trace_out = trace_path(&flags);
     let started = std::time::Instant::now();
+    let unconverged_before = mvag_sparse::eigen::unconverged_pairs();
     // One trace id for the whole pipeline run, so the exported spans
     // group like a single request.
     let artifact = mvag_obs::with_trace(mvag_obs::next_request_id(), || {
         Artifact::train(&mvag, &config)
     })
     .map_err(|e| e.to_string())?;
+    warn_unconverged(unconverged_before);
     println!(
         "trained in {:.2}s: weights {:?}",
         started.elapsed().as_secs_f64(),
@@ -832,10 +847,12 @@ fn update(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let views_secs = started.elapsed().as_secs_f64();
     let started = std::time::Instant::now();
+    let unconverged_before = mvag_sparse::eigen::unconverged_pairs();
     let outcome = mvag_obs::with_trace(update_trace, || {
         artifact.update(&views, &base, &delta, &config)
     })
     .map_err(|e| e.to_string())?;
+    warn_unconverged(unconverged_before);
     println!(
         "updated in {:.2}s (+{:.2}s rebuilding base view Laplacians — a resident trainer \
          keeps these cached)",

@@ -125,6 +125,17 @@ fn train_trace_exports_valid_chrome_json_with_nested_phases() {
     assert!(args.get("rounds").is_some());
     assert!(args.get("restarts").is_some());
     assert!(args.get("reortho_sweeps").is_some());
+    // Both solve spans report pairs stopped at the cycle budget.
+    for name in ["train.eigensolve", "train.spectral"] {
+        let span = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
+            .unwrap();
+        assert!(
+            span.get("args").unwrap().get("unconverged").is_some(),
+            "{name}"
+        );
+    }
 }
 
 #[test]

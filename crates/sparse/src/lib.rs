@@ -22,9 +22,10 @@
 //!   a reusable scratch CSR so each matvec streams one matrix, not `V`.
 //! * [`pool`] — a persistent worker pool (parked threads, atomic chunk
 //!   stealing) behind every data-parallel hot path in the workspace.
-//! * [`eigen`] — a Lanczos solver with full reorthogonalization for the
-//!   smallest eigenpairs of bounded symmetric operators, a symmetric
-//!   tridiagonal QL solver, and a cyclic Jacobi dense eigensolver.
+//! * [`eigen`] — a thick-restart Lanczos solver with full
+//!   reorthogonalization for the smallest eigenpairs of bounded symmetric
+//!   operators, block subspace iteration, and a cyclic Jacobi dense
+//!   eigensolver.
 //! * [`chol`], [`lu`], [`qr`], [`svd`] — small dense factorizations.
 //!
 //! All floating point work is `f64`. All randomized routines take explicit

@@ -1,6 +1,8 @@
 //! Property-based tests for the linear algebra substrate.
 
-use mvag_sparse::eigen::{jacobi_eig, smallest_eigenvalues, EigOptions};
+use mvag_sparse::eigen::{
+    jacobi_eig, smallest_eigenpairs, smallest_eigenvalues, EigOptions, EigResult,
+};
 use mvag_sparse::pool::WorkerPool;
 use mvag_sparse::qr::qr_thin;
 use mvag_sparse::{vecops, CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp};
@@ -381,5 +383,162 @@ fn fused_spectral_bound_dominates() {
     assert!(
         bound + 1e-9 >= spec_max,
         "gershgorin {bound} vs spectral radius {spec_max}"
+    );
+}
+
+/// One connected block: a ring plus `s / 2` random chords, weights in
+/// `[0.5, 2)`, returned as the dense symmetric adjacency.
+fn random_block(s: usize, seed: u64) -> DenseMatrix {
+    let mut rng = proptest::TestRng::new(seed);
+    let mut a = DenseMatrix::zeros(s, s);
+    let link = |a: &mut DenseMatrix, i: usize, j: usize, w: f64| {
+        if i != j {
+            a[(i, j)] += w;
+            a[(j, i)] += w;
+        }
+    };
+    for i in 0..s {
+        let w = 0.5 + 1.5 * rng.unit_f64();
+        link(&mut a, i, (i + 1) % s, w);
+    }
+    for _ in 0..s / 2 {
+        let (i, j) = (rng.below(s as u64) as usize, rng.below(s as u64) as usize);
+        let w = 0.5 + 1.5 * rng.unit_f64();
+        link(&mut a, i, j, w);
+    }
+    a
+}
+
+/// `I − D^{-1/2} A D^{-1/2}` of a dense adjacency.
+fn normalized_laplacian(a: &DenseMatrix) -> DenseMatrix {
+    let s = a.nrows();
+    let inv_sqrt: Vec<f64> = (0..s)
+        .map(|i| 1.0 / (0..s).map(|j| a[(i, j)]).sum::<f64>().sqrt())
+        .collect();
+    let mut l = DenseMatrix::zeros(s, s);
+    for i in 0..s {
+        for j in 0..s {
+            let id = if i == j { 1.0 } else { 0.0 };
+            l[(i, j)] = id - inv_sqrt[i] * a[(i, j)] * inv_sqrt[j];
+        }
+    }
+    l
+}
+
+/// A block-diagonal normalized Laplacian from `(size, copies, seed)`
+/// blocks, with its exact eigenpairs ascending: per-block Jacobi pairs,
+/// each block's repeated `copies` times. Several blocks make the graph
+/// disconnected; copies of one block repeat every eigenvalue.
+fn block_laplacian(blocks: &[(usize, usize, u64)]) -> (CsrMatrix, Vec<(f64, Vec<f64>)>) {
+    let n: usize = blocks.iter().map(|&(s, c, _)| s * c).sum();
+    let mut coo = CooMatrix::new(n, n);
+    let mut pairs = Vec::with_capacity(n);
+    let mut off = 0;
+    for &(s, copies, seed) in blocks {
+        let l = normalized_laplacian(&random_block(s, seed));
+        let eig = jacobi_eig(&l).unwrap();
+        for _ in 0..copies {
+            for (j, &value) in eig.values.iter().enumerate() {
+                let mut v = vec![0.0; n];
+                v[off..off + s].copy_from_slice(&eig.vectors.col(j));
+                pairs.push((value, v));
+            }
+            for i in 0..s {
+                for j in 0..s {
+                    if l[(i, j)] != 0.0 {
+                        coo.push(off + i, off + j, l[(i, j)]).unwrap();
+                    }
+                }
+            }
+            off += s;
+        }
+    }
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    (coo.to_csr(), pairs)
+}
+
+/// Graph layouts of 100–300 nodes: connected; two components; one block
+/// repeated 2–3 times; a repeated block plus a distinct one.
+fn layout_strategy() -> impl Strategy<Value = Vec<(usize, usize, u64)>> {
+    (
+        0usize..4,
+        50usize..=100,
+        40usize..=100,
+        2usize..=3,
+        0u64..1 << 40,
+    )
+        .prop_map(|(layout, s1, s2, copies, seed)| match layout {
+            0 => vec![(s1 + 50, 1, seed)],
+            1 => vec![(s1, 1, seed), (s2.max(50), 1, seed + 1)],
+            2 => vec![(s1, copies, seed)],
+            _ => vec![(s1.min(80), 2, seed), (s2, 1, seed + 1)],
+        })
+}
+
+/// Accuracy battery, oracle = per-block Jacobi: over 12 drawn layouts
+/// and k in 2..=10, every solve matches the exact values to 1e-7 with
+/// residuals ≤ 1e-6 and orthonormal vectors, cold and warm-started from
+/// perturbed exact vectors alike. The warm starts must save operator
+/// applications over the battery, not per case: which copies of a
+/// repeated eigenvalue a single start vector misses (each costs a
+/// verification probe) is luck. Over the first sixty layouts this
+/// generator draws, warm starts save 18% in total but lose on one
+/// (301 vs 223 matvecs).
+#[test]
+fn eigen_battery_matches_jacobi() {
+    let mut rng = proptest::TestRng::new(proptest::seed_for("eigen_battery_matches_jacobi"));
+    let (mut cold_total, mut warm_total) = (0, 0);
+    for _case in 0..12 {
+        let blocks = layout_strategy().sample(&mut rng);
+        let k = (2usize..=10).sample(&mut rng);
+        let (l, exact) = block_laplacian(&blocks);
+        let n = l.nrows();
+        let check = |res: &EigResult, what: &str| {
+            assert!(res.converged, "{blocks:?} {what}");
+            for (j, (want, _)) in exact.iter().enumerate().take(k) {
+                let (value, v) = (res.values[j], res.vectors.col(j));
+                assert!(
+                    (value - want).abs() < 1e-7,
+                    "{blocks:?} {what} λ{j} = {value} vs {want}"
+                );
+                let mut lv = vec![0.0; n];
+                l.matvec(&v, &mut lv);
+                let resid = lv
+                    .iter()
+                    .zip(&v)
+                    .fold(0.0f64, |m, (a, b)| m.max((a - value * b).abs()));
+                assert!(resid <= 1e-6, "{blocks:?} {what} pair {j} residual {resid}");
+                for i in 0..=j {
+                    let d = vecops::dot(&res.vectors.col(i), &v);
+                    let expect = if i == j { 1.0 } else { 0.0 };
+                    assert!((d - expect).abs() < 1e-8, "{what} v{i}·v{j} = {d}");
+                }
+            }
+        };
+        let cold = smallest_eigenpairs(&l, k, &EigOptions::default()).unwrap();
+        check(&cold, "cold");
+        // Warm start from the exact vectors of the k + 1 smallest pairs,
+        // perturbed.
+        let mut init = DenseMatrix::zeros(n, k + 1);
+        for (j, (_, v)) in exact.iter().take(k + 1).enumerate() {
+            let noisy: Vec<f64> = v
+                .iter()
+                .enumerate()
+                .map(|(i, x)| x + 1e-4 * ((i * (j + 1)) as f64 * 0.618).sin())
+                .collect();
+            init.set_col(j, &noisy);
+        }
+        let warm_opts = EigOptions {
+            init: Some(init),
+            ..EigOptions::default()
+        };
+        let warm = smallest_eigenpairs(&l, k, &warm_opts).unwrap();
+        check(&warm, "warm");
+        cold_total += cold.matvecs;
+        warm_total += warm.matvecs;
+    }
+    assert!(
+        warm_total < cold_total,
+        "warm starts {warm_total} matvecs vs cold {cold_total}"
     );
 }
