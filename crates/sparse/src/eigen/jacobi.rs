@@ -212,70 +212,6 @@ mod tests {
         assert!(e.values.is_empty());
     }
 
-    /// The dense symmetric tridiagonal matrix with `diag` and `off`.
-    fn tridiagonal(diag: &[f64], off: &[f64]) -> DenseMatrix {
-        let n = diag.len();
-        let mut a = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            a[(i, i)] = diag[i];
-            if i + 1 < n {
-                a[(i, i + 1)] = off[i];
-                a[(i + 1, i)] = off[i];
-            }
-        }
-        a
-    }
-
-    /// Tridiagonal spectra with closed forms (the Lanczos projected
-    /// problem before any restart is tridiagonal).
-    #[test]
-    fn tridiagonal_closed_forms() {
-        let e = jacobi_eig(&tridiagonal(&[3.5], &[])).unwrap();
-        assert_eq!(e.values, vec![3.5]);
-        assert_eq!(e.vectors[(0, 0)], 1.0);
-        // [[2, 1], [1, 2]] → 1, 3.
-        let a = tridiagonal(&[2.0, 2.0], &[1.0]);
-        let e = jacobi_eig(&a).unwrap();
-        assert!((e.values[0] - 1.0).abs() < 1e-14);
-        assert!((e.values[1] - 3.0).abs() < 1e-14);
-        check_decomposition(&a, &e, 1e-13);
-        // The unnormalized Laplacian of the path P_n has eigenvalues
-        // 4 sin²(π i / (2n)), i = 0..n-1.
-        let n = 12;
-        let mut diag = vec![2.0; n];
-        diag[0] = 1.0;
-        diag[n - 1] = 1.0;
-        let e = jacobi_eig(&tridiagonal(&diag, &vec![-1.0; n - 1])).unwrap();
-        for i in 0..n {
-            let expect = 4.0
-                * (std::f64::consts::PI * i as f64 / (2.0 * n as f64))
-                    .sin()
-                    .powi(2);
-            assert!((e.values[i] - expect).abs() < 1e-12, "eigenvalue {i}");
-        }
-        // A zero off-diagonal decouples two 2×2 blocks.
-        let e = jacobi_eig(&tridiagonal(&[1.0, 1.0, 5.0, 5.0], &[0.5, 0.0, 0.5])).unwrap();
-        for (v, ex) in e.values.iter().zip(&[0.5, 1.5, 4.5, 5.5]) {
-            assert!((v - ex).abs() < 1e-13);
-        }
-        // Repeated eigenvalues come back exactly.
-        let e = jacobi_eig(&tridiagonal(&[2.0, 2.0, 2.0], &[0.0, 0.0])).unwrap();
-        assert_eq!(e.values, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn tridiagonal_eigenvectors_orthonormal() {
-        let n = 20;
-        let diag: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 2.0).collect();
-        let off: Vec<f64> = (0..n - 1).map(|i| (i as f64 * 1.3).cos()).collect();
-        let a = tridiagonal(&diag, &off);
-        let e = jacobi_eig(&a).unwrap();
-        check_decomposition(&a, &e, 1e-10);
-        for w in e.values.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
     /// The index-based implementation the row-major kernel replaced; the
     /// kernel must reproduce its bits.
     fn reference_jacobi(a: &DenseMatrix) -> DenseEig {

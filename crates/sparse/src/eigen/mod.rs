@@ -13,6 +13,8 @@
 pub mod jacobi;
 pub mod lanczos;
 pub mod subspace;
+#[cfg(test)]
+mod tridiag;
 
 pub use jacobi::jacobi_eig;
 pub use lanczos::{
