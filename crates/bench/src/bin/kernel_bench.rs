@@ -63,9 +63,8 @@ fn main() -> ExitCode {
         }
     }
     // The global pool's width is already fixed (default_threads() was
-    // cached above); a larger --threads would hand the scoped baseline
-    // real extra threads while the pooled kernels stay capped at the
-    // pool width, skewing the exact comparison this benchmark reports.
+    // cached above); the pooled kernels cannot use more threads than
+    // that, so the report records the width actually used.
     let pool_width = mvag_sparse::parallel::default_threads();
     if config.threads > pool_width {
         eprintln!(
@@ -92,24 +91,6 @@ fn main() -> ExitCode {
             "  {:<24} n={:<8} nnz={:<9} reps={:<4} p50={:>10.1}us mean={:>10.1}us",
             t.kernel, t.n, t.nnz, t.reps, t.p50_us, t.mean_us
         );
-    }
-    for &n in &config.sizes {
-        let fused = report.p50("multiview_spmv_fused", n);
-        let lazy = report.p50("multiview_spmv_lazy", n);
-        let mv_scoped = report.p50("multiview_spmv_scoped_baseline", n);
-        let pooled = report.p50("spmv_pooled", n);
-        let scoped = report.p50("spmv_scoped_baseline", n);
-        if let (Some(f), Some(l), Some(ms), Some(p), Some(s)) =
-            (fused, lazy, mv_scoped, pooled, scoped)
-        {
-            println!(
-                "  n={n}: fused multi-view {:.2}x vs scoped baseline ({:.2}x vs lazy), \
-                 pooled spmv {:.2}x vs scoped",
-                ms / f,
-                l / f,
-                s / p
-            );
-        }
     }
     if !report.divergences.is_empty() {
         eprintln!("KERNEL DIVERGENCE — fused/pooled results do not match the reference:");

@@ -4,9 +4,7 @@
 //! Six kernel families are timed at several sizes:
 //!
 //! * **spmv** — `CsrMatrix::matvec_parallel` (persistent pool, chunk
-//!   stealing) vs the scoped-thread baseline
-//!   (`parallel::scoped::matvec_parallel`, one spawn/join cycle per
-//!   chunk per call — the pre-pool implementation);
+//!   stealing) vs the sequential `CsrMatrix::matvec`;
 //! * **fused-spmv** — one application of the integrated multi-view
 //!   operator `Σ wᵥ Lᵥ`: [`FusedSumOp`] (single fused CSR pass) vs the
 //!   lazy [`ScaledSumOp`] (one pass per view — the pre-fusing hot path
@@ -33,7 +31,6 @@
 use mvag_data::json::Value;
 use mvag_graph::knn::{knn_graph, KnnConfig};
 use mvag_sparse::eigen::{smallest_eigenvalues_full, EigOptions};
-use mvag_sparse::parallel::scoped;
 use mvag_sparse::qr::qr_thin;
 use mvag_sparse::{CooMatrix, CsrMatrix, DenseMatrix, FusedSumOp, LinOp, ScaledSumOp};
 use sgla_core::embedding::{embed, EmbedBackend, EmbedParams};
@@ -205,26 +202,13 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         let x = bench_vector(n);
         let reps = config.reps_for(nnz);
 
-        // --- spmv: scoped-thread baseline vs persistent pool ---
+        // --- spmv: sequential vs persistent pool ---
         let mut y_seq = vec![0.0f64; n];
-        let mut y_scoped = vec![0.0f64; n];
         let mut y_pooled = vec![0.0f64; n];
         a.matvec(&x, &mut y_seq);
         let (p50, mean) = time_reps(reps, || a.matvec(&x, &mut y_seq));
         timings.push(KernelTiming {
             kernel: "spmv_sequential".into(),
-            n,
-            nnz,
-            reps,
-            p50_us: p50,
-            mean_us: mean,
-            matvecs: None,
-        });
-        let (p50, mean) = time_reps(reps, || {
-            scoped::matvec_parallel(a, &x, &mut y_scoped, threads)
-        });
-        timings.push(KernelTiming {
-            kernel: "spmv_scoped_baseline".into(),
             n,
             nnz,
             reps,
@@ -248,17 +232,11 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
                 "n={n}: pooled spmv not bit-identical to sequential"
             ));
         }
-        if y_scoped != y_seq {
-            divergences.push(format!(
-                "n={n}: scoped spmv not bit-identical to sequential"
-            ));
-        }
 
-        // --- fused-spmv: the integrated operator Σ wᵥ Lᵥ three ways ---
-        // scoped baseline: per-view scoped-thread matvec + axpy (the
-        // pre-PR shape of a parallel multi-view application); lazy:
-        // sequential V-pass ScaledSumOp (the pre-PR eigensolve hot
-        // path); fused: single pooled pass over the scratch CSR.
+        // --- fused-spmv: the integrated operator Σ wᵥ Lᵥ two ways ---
+        // lazy: sequential V-pass ScaledSumOp (the pre-fusing
+        // eigensolve hot path); fused: single pooled pass over the
+        // scratch CSR.
         let refs: Vec<&CsrMatrix> = views.iter().collect();
         let weights: Vec<f64> = (0..config.views)
             .map(|v| (v + 1) as f64 / (config.views * (config.views + 1) / 2) as f64)
@@ -272,26 +250,6 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         fused.set_weights(&weights);
         let fuse_refresh_us = refresh_t.elapsed().as_secs_f64() * 1e6;
         let total_nnz: usize = views.iter().map(CsrMatrix::nnz).sum();
-        let mut y_scoped_mv = vec![0.0f64; n];
-        let mut tmp = vec![0.0f64; n];
-        let (p50, mean) = time_reps(reps, || {
-            y_scoped_mv.fill(0.0);
-            for (m, &w) in views.iter().zip(&weights) {
-                scoped::matvec_parallel(m, &x, &mut tmp, threads);
-                for (o, &t) in y_scoped_mv.iter_mut().zip(&tmp) {
-                    *o += w * t;
-                }
-            }
-        });
-        timings.push(KernelTiming {
-            kernel: "multiview_spmv_scoped_baseline".into(),
-            n,
-            nnz: total_nnz,
-            reps,
-            p50_us: p50,
-            mean_us: mean,
-            matvecs: None,
-        });
         let mut y_lazy = vec![0.0f64; n];
         let mut y_fused = vec![0.0f64; n];
         let (p50, mean) = time_reps(reps, || lazy.matvec(&x, &mut y_lazy));
@@ -336,12 +294,6 @@ pub fn run(config: &KernelBenchConfig) -> KernelBenchReport {
         if rel > 1e-10 {
             divergences.push(format!(
                 "n={n}: fused vs lazy multi-view matvec diverged (max rel diff {rel:.3e})"
-            ));
-        }
-        let rel = max_rel_diff(&y_lazy, &y_scoped_mv);
-        if rel > 1e-10 {
-            divergences.push(format!(
-                "n={n}: scoped vs lazy multi-view matvec diverged (max rel diff {rel:.3e})"
             ));
         }
 
@@ -562,12 +514,8 @@ impl KernelBenchReport {
                 Value::object(vec![
                     ("n", Value::Number(n as f64)),
                     (
-                        "spmv_pooled_vs_scoped",
-                        ratio("spmv_pooled", "spmv_scoped_baseline"),
-                    ),
-                    (
-                        "multiview_fused_vs_scoped",
-                        ratio("multiview_spmv_fused", "multiview_spmv_scoped_baseline"),
+                        "spmv_pooled_vs_sequential",
+                        ratio("spmv_pooled", "spmv_sequential"),
                     ),
                     (
                         "multiview_fused_vs_lazy",

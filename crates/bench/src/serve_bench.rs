@@ -173,9 +173,14 @@ pub const OBS_DISABLED_MAX_RATIO: f64 = 1.03;
 /// most this factor.
 pub const OBS_ENABLED_MAX_RATIO: f64 = 1.10;
 
-/// Interleaved repeats per mode in the overhead gate; latencies pool
-/// across repeats so machine drift hits every mode equally.
+/// In the overhead gate each client sends `OBS_GATE_REPEATS ×
+/// queries_per_client` requests to the baseline leg, as many to the
+/// disabled leg, and twice as many traced.
 const OBS_GATE_REPEATS: usize = 3;
+
+/// Baseline (and disabled) requests per client in one round of the
+/// overhead gate.
+const OBS_GATE_BLOCK: usize = 2;
 
 /// Absolute slack added on top of the relative gate bounds: loopback
 /// p50s sit in the tens-to-hundreds of microseconds, where timer
@@ -304,6 +309,28 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 /// `(node, status, response body)` of one recorded query.
 type Recorded = (usize, u16, Value);
 
+/// A client's deterministic query stream: an LCG over nodes, spread
+/// across the space but with repeats, so the LRU cache sees hits.
+struct NodeStream(u64);
+
+impl NodeStream {
+    fn new(seed: u64, client_id: usize) -> NodeStream {
+        NodeStream(
+            seed.wrapping_add(client_id as u64)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                | 1,
+        )
+    }
+
+    fn next_node(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) as usize % n
+    }
+}
+
 /// Drives the full client load against `addr`: each client thread owns
 /// one keep-alive connection and a deterministic query mix.
 /// `query_suffix` is appended to every `/topk` query string (the
@@ -327,18 +354,9 @@ fn drive_load(
                     HttpClient::connect(addr).map_err(|e| format!("client {client_id}: {e}"))?;
                 let mut latencies = Vec::with_capacity(config.queries_per_client);
                 let mut recorded = Vec::with_capacity(config.queries_per_client);
-                // Simple per-client LCG over nodes: spread across the
-                // space but with repeats, so the LRU cache sees hits.
-                let mut state = config
-                    .seed
-                    .wrapping_add(client_id as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    | 1;
+                let mut nodes = NodeStream::new(config.seed, client_id);
                 for _ in 0..config.queries_per_client {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let node = (state >> 33) as usize % config.n;
+                    let node = nodes.next_node(config.n);
                     let started = Instant::now();
                     let res = client
                         .get(&format!("/topk/{node}?k={}{suffix}", config.topk))
@@ -393,15 +411,9 @@ fn drive_load_multiplexed(
                 for &id in &ids {
                     conns.push(HttpClient::connect(addr).map_err(|e| format!("conn {id}: {e}"))?);
                 }
-                let mut states: Vec<u64> = ids
+                let mut streams: Vec<NodeStream> = ids
                     .iter()
-                    .map(|&id| {
-                        config
-                            .seed
-                            .wrapping_add(id as u64)
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            | 1
-                    })
+                    .map(|&id| NodeStream::new(config.seed, id))
                     .collect();
                 // Every connection in the fleet is open before any
                 // query: the server gauge must see the full count.
@@ -423,11 +435,7 @@ fn drive_load_multiplexed(
                 let mut recorded = Vec::with_capacity(ids.len() * config.queries_per_client);
                 for _ in 0..config.queries_per_client {
                     for (ci, client) in conns.iter_mut().enumerate() {
-                        let state = &mut states[ci];
-                        *state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let node = (*state >> 33) as usize % config.n;
+                        let node = streams[ci].next_node(config.n);
                         let started = Instant::now();
                         let res = client
                             .get(&format!("/topk/{node}?k={}", config.topk))
@@ -597,7 +605,7 @@ fn summarize(
 /// has never fired.
 fn stage_totals(name: &str) -> (u64, u64) {
     mvag_obs::stage(name)
-        .map(|s| (s.count, s.sum_us))
+        .map(|s| (s.count, s.sum))
         .unwrap_or((0, 0))
 }
 
@@ -652,14 +660,87 @@ fn measure_stage_split(addr: SocketAddr, config: &ServeBenchConfig) -> Result<Va
     ]))
 }
 
-/// The tracing-overhead gate: interleaved repeats of the same load in
-/// three modes — untraced baseline, instrumentation compiled in but
-/// disabled (the shipping default; baseline and disabled run the same
-/// code path, so this leg measures that the per-site atomic load stays
-/// inside run-to-run noise), and tracing fully enabled. Pools
-/// latencies per mode across repeats, gates the disabled/enabled p50s
-/// against the baseline, and scrape-validates the live `/metrics`
-/// page while the stage histograms are populated.
+/// The overhead gate's load. Each client keeps one connection for the
+/// whole gate and runs `rounds` rounds of two blocks of
+/// `2 × OBS_GATE_BLOCK` requests — one with tracing off, its requests
+/// alternating between the baseline and disabled legs (the same code
+/// path), and one traced. The blocks' order alternates by round and all
+/// clients start each block together. Host-load drift then lands on
+/// every leg alike instead of on whichever leg ran during a noisy
+/// stretch. Returns the baseline, disabled and enabled latencies.
+fn drive_gate_load(
+    addr: SocketAddr,
+    config: &ServeBenchConfig,
+    rounds: usize,
+) -> Result<[Vec<u64>; 3], String> {
+    // Whether each of a round's two blocks is traced.
+    let blocks = |round: usize| {
+        let even = round.is_multiple_of(2);
+        [!even, even]
+    };
+    let barrier = std::sync::Barrier::new(config.clients + 1);
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..config.clients)
+            .map(|client_id| {
+                let barrier = &barrier;
+                scope.spawn(move || -> Result<[Vec<u64>; 3], String> {
+                    // A failed client keeps meeting the barriers, so the
+                    // others never hang, but sends nothing more.
+                    let mut client =
+                        HttpClient::connect(addr).map_err(|e| format!("client {client_id}: {e}"));
+                    let mut nodes = NodeStream::new(config.seed, client_id);
+                    let mut legs: [Vec<u64>; 3] = Default::default();
+                    for round in 0..rounds {
+                        for traced in blocks(round) {
+                            barrier.wait();
+                            for i in 0..2 * OBS_GATE_BLOCK {
+                                let Ok(c) = client.as_mut() else { break };
+                                let node = nodes.next_node(config.n);
+                                let started = Instant::now();
+                                match c.get(&format!("/topk/{node}?k={}", config.topk)) {
+                                    Ok(_) => {
+                                        let leg = if traced { 2 } else { (i + client_id) % 2 };
+                                        legs[leg].push(started.elapsed().as_micros() as u64);
+                                    }
+                                    Err(e) => client = Err(format!("client {client_id}: {e}")),
+                                }
+                            }
+                            barrier.wait();
+                        }
+                    }
+                    client.map(|_| legs)
+                })
+            })
+            .collect();
+        for round in 0..rounds {
+            for traced in blocks(round) {
+                mvag_obs::set_enabled(traced);
+                barrier.wait();
+                barrier.wait();
+                mvag_obs::set_enabled(false);
+            }
+        }
+        let mut pooled: [Vec<u64>; 3] = Default::default();
+        for handle in clients {
+            let legs = handle
+                .join()
+                .map_err(|_| "client thread panicked".to_string())??;
+            for (pool, mut leg) in pooled.iter_mut().zip(legs) {
+                pool.append(&mut leg);
+            }
+        }
+        Ok(pooled)
+    })
+}
+
+/// The tracing-overhead gate: the same load, interleaved in small
+/// blocks ([`drive_gate_load`]), in three modes — untraced baseline,
+/// instrumentation compiled in but disabled (the shipping default;
+/// baseline and disabled run the same code path, so this leg measures
+/// that the per-site atomic load stays inside run-to-run noise), and
+/// tracing fully enabled. Gates the disabled/enabled p50s against the
+/// baseline, and scrape-validates the live `/metrics` page while the
+/// stage histograms are populated.
 fn run_obs_gate(addr: SocketAddr, config: &ServeBenchConfig) -> Result<Value, String> {
     let gate_config = ServeBenchConfig {
         clients: config.clients.clamp(1, 8),
@@ -670,16 +751,8 @@ fn run_obs_gate(addr: SocketAddr, config: &ServeBenchConfig) -> Result<Value, St
     // Warmup: fault in connections, caches, and batcher threads.
     mvag_obs::set_enabled(false);
     drive_load(addr, &gate_config, "")?;
-    let mut pooled: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for _rep in 0..OBS_GATE_REPEATS {
-        for (mode, bucket) in pooled.iter_mut().enumerate() {
-            mvag_obs::set_enabled(mode == 2);
-            let driven = drive_load(addr, &gate_config, "");
-            mvag_obs::set_enabled(false);
-            let (mut latencies, _, _) = driven?;
-            bucket.append(&mut latencies);
-        }
-    }
+    let rounds = (OBS_GATE_REPEATS * gate_config.queries_per_client).div_ceil(OBS_GATE_BLOCK);
+    let [mut baseline, mut disabled, mut enabled] = drive_gate_load(addr, &gate_config, rounds)?;
     // EXPLAIN leg (tracing off): every response must carry the spliced
     // cost object; its latency is reported alongside the gate modes so
     // the cost of asking for a cost profile is itself measured.
@@ -740,7 +813,6 @@ fn run_obs_gate(addr: SocketAddr, config: &ServeBenchConfig) -> Result<Value, St
         latencies.sort_unstable();
         percentile(latencies, 0.50)
     };
-    let [mut baseline, mut disabled, mut enabled] = pooled;
     let baseline_p50 = p50_of(&mut baseline);
     let disabled_p50 = p50_of(&mut disabled);
     let enabled_p50 = p50_of(&mut enabled);
@@ -768,6 +840,7 @@ fn run_obs_gate(addr: SocketAddr, config: &ServeBenchConfig) -> Result<Value, St
     };
     Ok(Value::object(vec![
         ("repeats", Value::from(OBS_GATE_REPEATS)),
+        ("block", Value::from(OBS_GATE_BLOCK)),
         ("samples_per_mode", Value::from(baseline.len())),
         ("baseline_p50_us", Value::from(baseline_p50)),
         ("disabled_p50_us", Value::from(disabled_p50)),
@@ -1297,12 +1370,14 @@ mod tests {
 
     #[test]
     fn obs_gate_passes_and_split_is_recorded() {
+        // 100 queries per client → 1200 gate samples per leg, enough
+        // for medians that hold still under CPU contention.
         let config = ServeBenchConfig {
             n: 80,
             k: 2,
             dim: 8,
             clients: 4,
-            queries_per_client: 10,
+            queries_per_client: 100,
             topk: 5,
             workers: 4,
             obs_gate: true,
@@ -1319,13 +1394,14 @@ mod tests {
         assert!((0.0..=1.0).contains(&share), "share {share}");
         // The gate ran, passed, and validated the live /metrics page.
         let gate = report.obs_overhead.expect("gate requested");
+
         assert_eq!(gate.get("gate").unwrap().as_str(), Some("pass"));
         assert_eq!(
             gate.get("metrics_page_validated").unwrap().as_bool(),
             Some(true)
         );
         assert!(gate.get("baseline_p50_us").unwrap().as_f64().unwrap() > 0.0);
-        assert!(gate.get("samples_per_mode").unwrap().as_usize().unwrap() >= 60);
+        assert!(gate.get("samples_per_mode").unwrap().as_usize().unwrap() >= 1200);
         assert!(report.json.get("obs_overhead").is_some());
         assert!(report.json.get("stage_split").is_some());
     }

@@ -17,9 +17,12 @@
 //!   cross-thread stages (batcher queue wait, shared kernel passes)
 //!   record into a specific trace with [`record`].
 //! * **Stage histograms**: every span close also feeds a process-wide
-//!   log₂-bucketed duration histogram keyed by span name
+//!   duration [`metrics::Histogram`] keyed by span name
 //!   ([`stage_snapshot`]), which the serve crate renders as
 //!   `sgla_stage_*` Prometheus series.
+//! * **The metrics primitive** ([`metrics`]): the one log₂ histogram,
+//!   its rolling-window form, and the Prometheus text writer and
+//!   validator that every serve-side metric is built on.
 //! * **Chrome trace-event export**: [`chrome_trace_json`] renders
 //!   records as a `chrome://tracing` / Perfetto-loadable JSON document
 //!   (`"ph": "X"` complete events with microsecond `ts`/`dur`).
@@ -30,6 +33,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod metrics;
+
+use metrics::{HistSnapshot, Histogram};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,11 +48,6 @@ pub const STRIPES: usize = 8;
 /// Completed spans kept per stripe; the global ring holds
 /// `STRIPES * STRIPE_CAPACITY` records before dropping the oldest.
 const STRIPE_CAPACITY: usize = 1024;
-
-/// Log₂ duration buckets per stage histogram: bucket `i` counts
-/// durations in `[2^i, 2^(i+1))` microseconds (bucket 0 also absorbs
-/// sub-microsecond durations). Matches the serve endpoint histograms.
-pub const STAGE_BUCKETS: usize = 36;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -287,10 +288,20 @@ fn push_record(record: SpanRecord) {
 
 /// Clones every retained span, sorted by start time.
 pub fn snapshot() -> Vec<SpanRecord> {
+    collect(|_| true)
+}
+
+/// Clones the retained spans of one trace, sorted by start time —
+/// without copying the rest of the ring.
+pub fn trace_snapshot(trace: u64) -> Vec<SpanRecord> {
+    collect(|r| r.trace == trace)
+}
+
+fn collect(keep: impl Fn(&SpanRecord) -> bool) -> Vec<SpanRecord> {
     let mut out = Vec::new();
     for stripe in rings() {
         let ring = stripe.lock().unwrap_or_else(|e| e.into_inner());
-        out.extend(ring.iter().cloned());
+        out.extend(ring.iter().filter(|r| keep(r)).cloned());
     }
     out.sort_by_key(|r| (r.start_us, r.depth));
     out
@@ -318,12 +329,10 @@ pub fn clear() {
 // Stage histograms
 // ---------------------------------------------------------------------------
 
-/// A per-stage duration histogram: log₂ buckets plus count and sum.
+/// A per-stage duration histogram (microseconds).
 struct StageHist {
     name: &'static str,
-    buckets: [AtomicU64; STAGE_BUCKETS],
-    count: AtomicU64,
-    sum_us: AtomicU64,
+    hist: Histogram,
 }
 
 /// Read-mostly registry: span close takes the read lock and scans a
@@ -331,11 +340,6 @@ struct StageHist {
 fn stages() -> &'static RwLock<Vec<&'static StageHist>> {
     static STAGES: OnceLock<RwLock<Vec<&'static StageHist>>> = OnceLock::new();
     STAGES.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-fn bucket_of(micros: u64) -> usize {
-    let micros = micros.max(1);
-    ((63 - micros.leading_zeros()) as usize).min(STAGE_BUCKETS - 1)
 }
 
 fn stage_record(name: &'static str, dur_us: u64) {
@@ -353,53 +357,32 @@ fn stage_record(name: &'static str, dur_us: u64) {
                 // One leak per distinct static span name: bounded.
                 let h: &'static StageHist = Box::leak(Box::new(StageHist {
                     name,
-                    buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                    count: AtomicU64::new(0),
-                    sum_us: AtomicU64::new(0),
+                    hist: Histogram::new(),
                 }));
                 list.push(h);
                 h
             }
         }
     };
-    hist.buckets[bucket_of(dur_us)].fetch_add(1, Ordering::Relaxed);
-    hist.count.fetch_add(1, Ordering::Relaxed);
-    hist.sum_us.fetch_add(dur_us, Ordering::Relaxed);
+    hist.hist.record(dur_us);
 }
 
-/// A point-in-time copy of one stage histogram.
-#[derive(Debug, Clone)]
-pub struct StageSnapshot {
-    /// The span name this histogram tracks.
-    pub name: &'static str,
-    /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))` µs.
-    pub buckets: [u64; STAGE_BUCKETS],
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed durations in microseconds.
-    pub sum_us: u64,
-}
-
-/// Snapshots every stage histogram, sorted by name. Counters are
-/// cumulative since process start (Prometheus semantics).
-pub fn stage_snapshot() -> Vec<StageSnapshot> {
+/// Snapshots every stage histogram (durations in microseconds), sorted
+/// by span name. Counters are cumulative since process start
+/// (Prometheus semantics).
+pub fn stage_snapshot() -> Vec<(&'static str, HistSnapshot)> {
     let list = stages().read().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<StageSnapshot> = list
-        .iter()
-        .map(|h| StageSnapshot {
-            name: h.name,
-            buckets: std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed)),
-            count: h.count.load(Ordering::Relaxed),
-            sum_us: h.sum_us.load(Ordering::Relaxed),
-        })
-        .collect();
-    out.sort_by_key(|s| s.name);
+    let mut out: Vec<(&'static str, HistSnapshot)> =
+        list.iter().map(|h| (h.name, h.hist.snapshot())).collect();
+    out.sort_by_key(|(name, _)| *name);
     out
 }
 
-/// Looks up one stage snapshot by name.
-pub fn stage(name: &str) -> Option<StageSnapshot> {
-    stage_snapshot().into_iter().find(|s| s.name == name)
+/// Looks up one stage histogram snapshot by span name.
+pub fn stage(name: &str) -> Option<HistSnapshot> {
+    stage_snapshot()
+        .into_iter()
+        .find_map(|(n, snap)| (n == name).then_some(snap))
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +532,7 @@ mod tests {
         set_enabled(false);
         let snap = stage("test.stage").unwrap();
         assert_eq!(snap.count, before + 2);
-        assert!(snap.sum_us >= 905);
+        assert!(snap.sum >= 905);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
         // 5 µs → bucket 2 ([4,8)); 900 µs → bucket 9 ([512,1024)).
         assert!(snap.buckets[2] >= 1);
@@ -558,12 +541,13 @@ mod tests {
 
     #[test]
     fn bucket_of_edges() {
+        use metrics::{bucket_of, BUCKETS};
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 0);
         assert_eq!(bucket_of(2), 1);
         assert_eq!(bucket_of(3), 1);
         assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(u64::MAX), STAGE_BUCKETS - 1);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]

@@ -66,12 +66,9 @@ use std::path::{Path, PathBuf};
 /// `--auto-compact` sweep, tests, and future background schedulers —
 /// and all of them should land on the one `/metrics` page.
 mod telemetry {
+    use mvag_obs::metrics::Histogram;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
-
-    /// Histogram buckets for run duration: powers of two in
-    /// microseconds (`le=1,2,4,…,2^34`) plus `+Inf`.
-    pub(super) const DURATION_BUCKETS: usize = 36;
 
     pub(super) static RUNNING: AtomicU64 = AtomicU64::new(0);
     pub(super) static COMPLETED: AtomicU64 = AtomicU64::new(0);
@@ -82,9 +79,8 @@ mod telemetry {
     pub(super) static DIRTY_BYTES: AtomicU64 = AtomicU64::new(0);
     pub(super) static APPENDS: AtomicU64 = AtomicU64::new(0);
     pub(super) static APPENDED_NODES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static DURATION_SUM_US: AtomicU64 = AtomicU64::new(0);
-    pub(super) static DURATION: [AtomicU64; DURATION_BUCKETS] =
-        [const { AtomicU64::new(0) }; DURATION_BUCKETS];
+    /// Run durations in microseconds.
+    pub(super) static DURATION_US: Histogram = Histogram::new();
 
     /// Holds the running gauge up for the duration of one run; the
     /// `Drop` decrement makes the gauge panic-safe.
@@ -102,15 +98,7 @@ mod telemetry {
 
         /// Records the run's duration and outcome counters.
         pub(super) fn observe(&self, ok: bool) {
-            let dur_us = self.started.elapsed().as_micros() as u64;
-            DURATION_SUM_US.fetch_add(dur_us, Ordering::Relaxed);
-            let idx = if dur_us <= 1 {
-                0
-            } else {
-                (64 - (dur_us - 1).leading_zeros()) as usize
-            }
-            .min(DURATION_BUCKETS - 1);
-            DURATION[idx].fetch_add(1, Ordering::Relaxed);
+            DURATION_US.record(self.started.elapsed().as_micros() as u64);
             if ok {
                 COMPLETED.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -134,9 +122,10 @@ pub fn compactions_running() -> u64 {
 
 /// Appends the process-wide `sgla_compact_*` metrics family (run
 /// counters, purge/rewrite/byte totals, the write-amplification ratio,
-/// and a run-duration histogram) in Prometheus text format.
+/// and a run-duration histogram on the shared log₂ bucket layout) in
+/// Prometheus text format.
 pub fn render_prometheus(out: &mut String) {
-    use std::fmt::Write;
+    use mvag_obs::metrics::{header, histogram, scalar};
     use std::sync::atomic::Ordering;
     let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
     let counters: [(&str, &str, &str, u64); 9] = [
@@ -196,9 +185,7 @@ pub fn render_prometheus(out: &mut String) {
         ),
     ];
     for (name, kind, help, value) in counters {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
+        scalar(out, name, kind, help, value);
     }
     // Write amplification: bytes written per dirty byte replaced. The
     // ratio is computed at render so the counters stay raw.
@@ -209,33 +196,25 @@ pub fn render_prometheus(out: &mut String) {
     } else {
         0.0
     };
-    out.push_str("# HELP sgla_compact_write_amplification Bytes written per dirty byte replaced (0 until the first compaction).\n");
-    out.push_str("# TYPE sgla_compact_write_amplification gauge\n");
-    let _ = writeln!(out, "sgla_compact_write_amplification {amp}");
-    out.push_str("# HELP sgla_compact_duration_us Compaction/append run duration.\n");
-    out.push_str("# TYPE sgla_compact_duration_us histogram\n");
-    let mut cumulative = 0u64;
-    for (i, bucket) in telemetry::DURATION.iter().enumerate() {
-        cumulative += bucket.load(Ordering::Relaxed);
-        if i + 1 == telemetry::DURATION_BUCKETS {
-            let _ = writeln!(
-                out,
-                "sgla_compact_duration_us_bucket{{le=\"+Inf\"}} {cumulative}"
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "sgla_compact_duration_us_bucket{{le=\"{}\"}} {cumulative}",
-                1u64 << i
-            );
-        }
-    }
-    let _ = writeln!(
+    scalar(
         out,
-        "sgla_compact_duration_us_sum {}",
-        load(&telemetry::DURATION_SUM_US)
+        "sgla_compact_write_amplification",
+        "gauge",
+        "Bytes written per dirty byte replaced (0 until the first compaction).",
+        amp,
     );
-    let _ = writeln!(out, "sgla_compact_duration_us_count {cumulative}");
+    header(
+        out,
+        "sgla_compact_duration_us",
+        "histogram",
+        "Compaction/append run duration.",
+    );
+    histogram(
+        out,
+        "sgla_compact_duration_us",
+        &[],
+        &telemetry::DURATION_US.snapshot(),
+    );
 }
 
 /// What a [`compact_sharded`] / [`compact_monolithic`] run did.

@@ -295,7 +295,7 @@ impl Server {
         let shared = Arc::new(ServerShared {
             batcher: Batcher::new(Arc::clone(&backend), config.max_batch),
             backend,
-            metrics: MetricsRegistry::new(),
+            metrics: MetricsRegistry::new(&config.slo_windows),
             stop: AtomicBool::new(false),
             conns: ConnGauges::new(),
             reload,
@@ -303,11 +303,7 @@ impl Server {
             max_connections: config.max_connections,
             idle_timeout: config.read_timeout,
             slow_log: SlowQueryLog::new(config.slow_query_us),
-            slo: SloTracker::new(
-                &config.slo_windows,
-                config.slo_p99_us,
-                config.slo_error_rate,
-            ),
+            slo: SloTracker::new(config.slo_p99_us, config.slo_error_rate),
             last_reload: Mutex::new(None),
         });
 
@@ -587,16 +583,13 @@ pub(crate) fn process_request(
         root.counter("status", u64::from(out.1));
         out
     });
-    let elapsed = started.elapsed();
-    let wall_us = elapsed.as_micros() as u64;
-    if let Some(m) = shared.metrics.endpoint(endpoint) {
-        m.record(elapsed, status < 400);
-    }
-    shared.slo.record(
+    let wall_us = started.elapsed().as_micros() as u64;
+    shared.metrics.record(
         endpoint,
         shared.metrics.uptime_secs() as u64,
         wall_us,
         status < 400,
+        shared.slo.is_slow(wall_us),
     );
     // The echoed id: the client's verbatim when one was supplied (its
     // hash is the trace id), the minted `req-…` form otherwise.
@@ -606,9 +599,7 @@ pub(crate) fn process_request(
         .unwrap_or_else(|| format_request_id(request_id));
     if shared.slow_log.is_slow(wall_us) {
         let spans = if mvag_obs::enabled() {
-            let mut spans = mvag_obs::snapshot();
-            spans.retain(|s| s.trace == request_id);
-            spans
+            mvag_obs::trace_snapshot(request_id)
         } else {
             Vec::new()
         };
@@ -1068,8 +1059,10 @@ const HEALTH_MAX_DEAD_FRACTION: f64 = 0.25;
 /// on it; `degraded` stays 200 (the server still answers correctly).
 fn health_route(shared: &ServerShared) -> (u16, String) {
     use crate::slo::HealthStatus;
-    let now = shared.metrics.uptime_secs() as u64;
-    let (mut status, mut reasons) = shared.slo.evaluate(now);
+    let windows = shared
+        .metrics
+        .slo_snapshot(shared.metrics.uptime_secs() as u64);
+    let (mut status, mut reasons) = shared.slo.evaluate(&windows);
     let meta = shared.backend.meta();
     let tombstones = shared.backend.tombstone_count();
     let dead_fraction = if meta.n > 0 {
@@ -1120,9 +1113,7 @@ fn health_route(shared: &ServerShared) -> (u16, String) {
         (
             "windows_secs",
             Value::from(
-                shared
-                    .slo
-                    .snapshot(now)
+                windows
                     .first()
                     .map(|e| {
                         e.windows
@@ -1383,17 +1374,17 @@ fn stats_body(shared: &ServerShared, reset: bool) -> String {
     } else {
         (shared.metrics.snapshots(), shared.metrics.uptime_secs())
     };
-    let window_requests: u64 = snapshots.iter().map(|s| s.requests).sum();
+    let window_requests: u64 = snapshots.iter().map(|s| s.latency_us.count).sum();
     let endpoints: Vec<Value> = snapshots
         .iter()
         .map(|snap| {
             Value::object(vec![
                 ("endpoint", Value::from(snap.name)),
-                ("requests", Value::from(snap.requests)),
+                ("requests", Value::from(snap.latency_us.count)),
                 ("errors", Value::from(snap.errors)),
-                ("mean_us", Value::from(snap.mean_micros())),
-                ("p50_us", Value::from(snap.quantile_micros(0.50))),
-                ("p99_us", Value::from(snap.quantile_micros(0.99))),
+                ("mean_us", Value::from(snap.latency_us.mean())),
+                ("p50_us", Value::from(snap.latency_us.quantile(0.50))),
+                ("p99_us", Value::from(snap.latency_us.quantile(0.99))),
             ])
         })
         .collect();
@@ -1583,97 +1574,143 @@ fn traces_body(query: &str, slow_only: bool) -> String {
 /// counters/histograms from the registry plus backend gauges
 /// (cache, shards, approx-index scan work).
 fn metrics_body(shared: &ServerShared) -> String {
-    use std::fmt::Write;
+    use mvag_obs::metrics::scalar;
     let mut page = String::with_capacity(4096);
     shared.metrics.render_prometheus(&mut page);
     shared.conns.render_prometheus(&mut page);
-    let (cache_hits, cache_misses) = shared.backend.cache_stats();
-    page.push_str("# TYPE sgla_cache_hits_total counter\n");
-    let _ = writeln!(page, "sgla_cache_hits_total {cache_hits}");
-    page.push_str("# TYPE sgla_cache_misses_total counter\n");
-    let _ = writeln!(page, "sgla_cache_misses_total {cache_misses}");
-    page.push_str("# TYPE sgla_shards gauge\n");
-    let _ = writeln!(page, "sgla_shards {}", shared.backend.shard_count());
-    page.push_str("# TYPE sgla_resident_shards gauge\n");
-    let _ = writeln!(
-        page,
-        "sgla_resident_shards {}",
-        shared.backend.resident_shards()
-    );
-    page.push_str("# TYPE sgla_tombstones gauge\n");
-    let _ = writeln!(page, "sgla_tombstones {}", shared.backend.tombstone_count());
-    let index = shared.backend.index_stats();
-    page.push_str("# TYPE sgla_index_enabled gauge\n");
-    let _ = writeln!(page, "sgla_index_enabled {}", u8::from(index.enabled));
-    page.push_str("# TYPE sgla_index_nlist gauge\n");
-    let _ = writeln!(page, "sgla_index_nlist {}", index.nlist);
-    page.push_str("# TYPE sgla_index_approx_queries_total counter\n");
-    let _ = writeln!(
-        page,
-        "sgla_index_approx_queries_total {}",
-        index.approx_queries
-    );
-    page.push_str("# TYPE sgla_index_exact_queries_total counter\n");
-    let _ = writeln!(
-        page,
-        "sgla_index_exact_queries_total {}",
-        index.exact_queries
-    );
-    page.push_str("# TYPE sgla_index_lists_scanned_total counter\n");
-    let _ = writeln!(
-        page,
-        "sgla_index_lists_scanned_total {}",
-        index.lists_scanned
-    );
-    page.push_str("# TYPE sgla_index_rows_scanned_total counter\n");
-    let _ = writeln!(page, "sgla_index_rows_scanned_total {}", index.rows_scanned);
-    // Embedding-store memory accounting (out-of-core serving).
-    let memory = shared.backend.store_memory();
-    page.push_str("# HELP sgla_store_owned_bytes Heap bytes pinned by owned embedding stores.\n");
-    page.push_str("# TYPE sgla_store_owned_bytes gauge\n");
-    let _ = writeln!(page, "sgla_store_owned_bytes {}", memory.owned_bytes);
-    page.push_str(
-        "# HELP sgla_store_mapped_bytes Memory-mapped artifact bytes (page-cache reclaimable).\n",
-    );
-    page.push_str("# TYPE sgla_store_mapped_bytes gauge\n");
-    let _ = writeln!(page, "sgla_store_mapped_bytes {}", memory.mapped_bytes);
+    let backend = &shared.backend;
+    let (cache_hits, cache_misses) = backend.cache_stats();
+    let index = backend.index_stats();
+    let memory = backend.store_memory();
     let mapped_stores = memory.stores.iter().filter(|s| *s == "mapped").count();
     let owned_stores = memory.stores.iter().filter(|s| *s == "owned").count();
-    page.push_str("# HELP sgla_store_mapped_stores Resident stores serving memory-mapped.\n");
-    page.push_str("# TYPE sgla_store_mapped_stores gauge\n");
-    let _ = writeln!(page, "sgla_store_mapped_stores {mapped_stores}");
-    page.push_str("# HELP sgla_store_owned_stores Resident stores serving from the heap.\n");
-    page.push_str("# TYPE sgla_store_owned_stores gauge\n");
-    let _ = writeln!(page, "sgla_store_owned_stores {owned_stores}");
-    // Slow-query log counters.
-    page.push_str("# HELP sgla_slow_query_threshold_us Capture threshold (0 = off).\n");
-    page.push_str("# TYPE sgla_slow_query_threshold_us gauge\n");
-    let _ = writeln!(
-        page,
-        "sgla_slow_query_threshold_us {}",
-        shared.slow_log.threshold_us()
-    );
-    page.push_str("# HELP sgla_slow_query_captured_total Slow queries ever captured.\n");
-    page.push_str("# TYPE sgla_slow_query_captured_total counter\n");
-    let _ = writeln!(
-        page,
-        "sgla_slow_query_captured_total {}",
-        shared.slow_log.captured()
-    );
-    page.push_str("# HELP sgla_slow_query_dropped_total Entries evicted from full stripes.\n");
-    page.push_str("# TYPE sgla_slow_query_dropped_total counter\n");
-    let _ = writeln!(
-        page,
-        "sgla_slow_query_dropped_total {}",
-        shared.slow_log.dropped()
-    );
-    page.push_str("# HELP sgla_slow_query_held Entries currently in the ring.\n");
-    page.push_str("# TYPE sgla_slow_query_held gauge\n");
-    let _ = writeln!(page, "sgla_slow_query_held {}", shared.slow_log.len());
+    let slow_log = &shared.slow_log;
+    let families: [(&str, &str, &str, u64); 19] = [
+        (
+            "sgla_cache_hits_total",
+            "counter",
+            "Top-k result cache hits.",
+            cache_hits,
+        ),
+        (
+            "sgla_cache_misses_total",
+            "counter",
+            "Top-k result cache misses.",
+            cache_misses,
+        ),
+        (
+            "sgla_shards",
+            "gauge",
+            "Row-range shards behind the backend (1 = monolithic).",
+            backend.shard_count() as u64,
+        ),
+        (
+            "sgla_resident_shards",
+            "gauge",
+            "Shards currently resident in memory.",
+            backend.resident_shards() as u64,
+        ),
+        (
+            "sgla_tombstones",
+            "gauge",
+            "Deleted rows masked until compaction.",
+            backend.tombstone_count() as u64,
+        ),
+        (
+            "sgla_index_enabled",
+            "gauge",
+            "Whether an approximate (IVF) index is loaded (1) or not (0).",
+            u64::from(index.enabled),
+        ),
+        (
+            "sgla_index_nlist",
+            "gauge",
+            "Inverted lists in the IVF index.",
+            index.nlist as u64,
+        ),
+        (
+            "sgla_index_approx_queries_total",
+            "counter",
+            "Top-k queries answered through the IVF index.",
+            index.approx_queries,
+        ),
+        (
+            "sgla_index_exact_queries_total",
+            "counter",
+            "Top-k queries answered by the exact scan.",
+            index.exact_queries,
+        ),
+        (
+            "sgla_index_lists_scanned_total",
+            "counter",
+            "Inverted lists probed by approximate queries.",
+            index.lists_scanned,
+        ),
+        (
+            "sgla_index_rows_scanned_total",
+            "counter",
+            "Candidate rows scored by approximate queries.",
+            index.rows_scanned,
+        ),
+        // Embedding-store memory accounting (out-of-core serving).
+        (
+            "sgla_store_owned_bytes",
+            "gauge",
+            "Heap bytes pinned by owned embedding stores.",
+            memory.owned_bytes,
+        ),
+        (
+            "sgla_store_mapped_bytes",
+            "gauge",
+            "Memory-mapped artifact bytes (page-cache reclaimable).",
+            memory.mapped_bytes,
+        ),
+        (
+            "sgla_store_mapped_stores",
+            "gauge",
+            "Resident stores serving memory-mapped.",
+            mapped_stores as u64,
+        ),
+        (
+            "sgla_store_owned_stores",
+            "gauge",
+            "Resident stores serving from the heap.",
+            owned_stores as u64,
+        ),
+        // Slow-query log counters.
+        (
+            "sgla_slow_query_threshold_us",
+            "gauge",
+            "Capture threshold (0 = off).",
+            slow_log.threshold_us(),
+        ),
+        (
+            "sgla_slow_query_captured_total",
+            "counter",
+            "Slow queries ever captured.",
+            slow_log.captured(),
+        ),
+        (
+            "sgla_slow_query_dropped_total",
+            "counter",
+            "Entries evicted from full stripes.",
+            slow_log.dropped(),
+        ),
+        (
+            "sgla_slow_query_held",
+            "gauge",
+            "Entries currently in the ring.",
+            slow_log.len() as u64,
+        ),
+    ];
+    for (name, kind, help, value) in families {
+        scalar(&mut page, name, kind, help, value);
+    }
     // SLO windows, objectives, and burn rates.
-    shared
-        .slo
-        .render_prometheus(shared.metrics.uptime_secs() as u64, &mut page);
+    let windows = shared
+        .metrics
+        .slo_snapshot(shared.metrics.uptime_secs() as u64);
+    shared.slo.render_prometheus(&windows, &mut page);
     // Compaction/append telemetry (process-wide).
     crate::compact::render_prometheus(&mut page);
     // Pipeline-stage histograms (sgla_stage_*) and worker-pool gauges.

@@ -1,11 +1,11 @@
-//! Per-endpoint latency/QPS counters for the HTTP front end.
+//! Per-endpoint request metrics for the HTTP front end, built on the
+//! [`mvag_obs::metrics`] primitive.
 //!
-//! Lock-free on the hot path: each recorded request does one atomic
-//! add on a request counter and one on a log₂-bucketed latency
-//! histogram slot. Quantiles (p50/p99) are read from the histogram by
-//! linear interpolation inside the winning bucket, which is accurate
-//! to well under a factor of 2 — plenty for dashboards and the serve
-//! benchmark's regression tracking.
+//! Each endpoint owns one record ([`EndpointMetrics`]): a latency
+//! [`Histogram`], an error counter, and the rolling SLO [`Window`]s.
+//! Recording a request is one lookup by endpoint name and a handful of
+//! relaxed atomic adds. Quantiles (p50/p99) are read from the
+//! histogram by linear interpolation inside the winning log₂ bucket.
 //!
 //! Two read modes over the same counters:
 //!
@@ -17,65 +17,54 @@
 //!   subtracts, so scrapers without their own rate() machinery get
 //!   per-window numbers while the cumulative view stays intact.
 
+use crate::slo::EndpointSloSnapshot;
+use mvag_obs::metrics::{header, histogram, sample, scalar, HistSnapshot, Histogram, Window};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Number of log₂ latency buckets: bucket `i` holds durations in
-/// `[2^i, 2^{i+1})` microseconds; the last bucket is open-ended
-/// (≥ ~34 s — nothing a healthy endpoint produces).
-const BUCKETS: usize = 36;
+pub use mvag_obs::metrics::validate_prometheus;
 
-/// Counters for one endpoint.
+/// One endpoint's record: latency histogram (microseconds), error
+/// counter, and one rolling SLO window per configured span.
 #[derive(Debug)]
 pub struct EndpointMetrics {
     /// Endpoint label (e.g. `"topk"`).
     pub name: &'static str,
-    requests: AtomicU64,
+    latency_us: Histogram,
     errors: AtomicU64,
-    total_micros: AtomicU64,
-    histogram: [AtomicU64; BUCKETS],
+    windows: Vec<Window>,
 }
 
 impl EndpointMetrics {
-    fn new(name: &'static str) -> Self {
+    fn new(name: &'static str, window_secs: &[u64]) -> Self {
         EndpointMetrics {
             name,
-            requests: AtomicU64::new(0),
+            latency_us: Histogram::new(),
             errors: AtomicU64::new(0),
-            total_micros: AtomicU64::new(0),
-            histogram: std::array::from_fn(|_| AtomicU64::new(0)),
+            windows: window_secs.iter().map(|&s| Window::new(s)).collect(),
         }
     }
 
-    fn bucket_of(micros: u64) -> usize {
-        ((64 - micros.max(1).leading_zeros()) as usize - 1).min(BUCKETS - 1)
-    }
-
-    /// Records one completed request.
-    pub fn record(&self, latency: Duration, ok: bool) {
-        let micros = latency.as_micros().min(u64::MAX as u128) as u64;
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    /// Records one completed request at `now_secs` (monotonic seconds
+    /// since start); `slow` is the SLO tracker's verdict against the
+    /// p99 objective in force now.
+    pub fn record(&self, now_secs: u64, latency_us: u64, ok: bool, slow: bool) {
+        self.latency_us.record(latency_us);
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.histogram[Self::bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
+        for window in &self.windows {
+            window.record(now_secs, latency_us, ok, slow);
+        }
     }
 
-    /// A consistent-enough copy of the counters.
+    /// A consistent-enough copy of the cumulative counters.
     pub fn snapshot(&self) -> EndpointSnapshot {
-        let histogram: Vec<u64> = self
-            .histogram
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
         EndpointSnapshot {
             name: self.name,
-            requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            histogram,
+            latency_us: self.latency_us.snapshot(),
         }
     }
 }
@@ -85,72 +74,30 @@ impl EndpointMetrics {
 pub struct EndpointSnapshot {
     /// Endpoint label.
     pub name: &'static str,
-    /// Requests served (including errors).
-    pub requests: u64,
     /// Requests that returned a non-2xx status.
     pub errors: u64,
-    /// Sum of request latencies in microseconds.
-    pub total_micros: u64,
-    /// Log₂ latency histogram (microsecond buckets).
-    pub histogram: Vec<u64>,
+    /// Latency histogram in microseconds; its `count` is the number of
+    /// requests served (including errors).
+    pub latency_us: HistSnapshot,
 }
 
 impl EndpointSnapshot {
-    /// Mean latency in microseconds.
-    pub fn mean_micros(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_micros as f64 / self.requests as f64
-        }
-    }
-
     /// The counters accumulated since `baseline` was taken
     /// (element-wise saturating subtraction — a fresh baseline of
     /// zeros yields the cumulative view).
     pub fn delta_since(&self, baseline: &EndpointSnapshot) -> EndpointSnapshot {
         EndpointSnapshot {
             name: self.name,
-            requests: self.requests.saturating_sub(baseline.requests),
             errors: self.errors.saturating_sub(baseline.errors),
-            total_micros: self.total_micros.saturating_sub(baseline.total_micros),
-            histogram: self
-                .histogram
-                .iter()
-                .zip(&baseline.histogram)
-                .map(|(c, b)| c.saturating_sub(*b))
-                .collect(),
+            latency_us: self.latency_us.delta_since(&baseline.latency_us),
         }
-    }
-
-    /// Approximate latency quantile (`q` in `[0, 1]`) in microseconds,
-    /// by linear interpolation within the winning histogram bucket.
-    pub fn quantile_micros(&self, q: f64) -> f64 {
-        let total: u64 = self.histogram.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in self.histogram.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if seen + count >= rank {
-                let lo = (1u64 << i) as f64;
-                let frac = (rank - seen) as f64 / count as f64;
-                return lo + frac * lo; // bucket spans [2^i, 2^{i+1})
-            }
-            seen += count;
-        }
-        (1u64 << (BUCKETS - 1)) as f64
     }
 }
 
 /// All endpoints served by the front end, plus server-wide counters.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    /// Per-endpoint counters.
+    /// Per-endpoint records.
     pub endpoints: Vec<EndpointMetrics>,
     started: Instant,
     /// Baseline of the last reset-read (`/stats?reset=true`): the
@@ -170,22 +117,28 @@ pub const ENDPOINTS: [&str; 13] = [
     "traces", "version", "debug", "other",
 ];
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MetricsRegistry {
-    /// Fresh registry with one slot per endpoint in [`ENDPOINTS`].
-    pub fn new() -> Self {
-        let endpoints: Vec<EndpointMetrics> =
-            ENDPOINTS.iter().map(|n| EndpointMetrics::new(n)).collect();
+    /// Fresh registry with one record per endpoint in [`ENDPOINTS`],
+    /// each with one rolling SLO window per span in `window_secs`
+    /// (seconds, shortest first).
+    pub fn new(window_secs: &[u64]) -> Self {
+        let endpoints: Vec<EndpointMetrics> = ENDPOINTS
+            .iter()
+            .map(|n| EndpointMetrics::new(n, window_secs))
+            .collect();
         let zero = endpoints.iter().map(|e| e.snapshot()).collect();
         MetricsRegistry {
             endpoints,
             started: Instant::now(),
             baseline: Mutex::new((zero, Instant::now())),
+        }
+    }
+
+    /// Records one completed request for `endpoint` (unknown labels
+    /// are ignored); see [`EndpointMetrics::record`].
+    pub fn record(&self, endpoint: &str, now_secs: u64, latency_us: u64, ok: bool, slow: bool) {
+        if let Some(m) = self.endpoint(endpoint) {
+            m.record(now_secs, latency_us, ok, slow);
         }
     }
 
@@ -217,71 +170,77 @@ impl MetricsRegistry {
         (delta, window)
     }
 
+    /// The rolling SLO windows at `now_secs` of every endpoint that
+    /// saw traffic in its widest window, in registry order.
+    pub fn slo_snapshot(&self, now_secs: u64) -> Vec<EndpointSloSnapshot> {
+        self.endpoints
+            .iter()
+            .map(|e| EndpointSloSnapshot {
+                name: e.name,
+                windows: e.windows.iter().map(|w| w.snapshot(now_secs)).collect(),
+            })
+            .filter(|s| s.windows.iter().any(|w| w.requests() > 0))
+            .collect()
+    }
+
     /// Renders the endpoint counters in the Prometheus text exposition
     /// format (cumulative; the log₂ histogram becomes a classic
     /// `_bucket{le=...}` series). The caller appends its own gauges
     /// (cache, shards, index work) before serving the page.
     pub fn render_prometheus(&self, out: &mut String) {
-        use std::fmt::Write;
         let snaps = self.snapshots();
-        out.push_str("# HELP sgla_requests_total Requests served per endpoint.\n");
-        out.push_str("# TYPE sgla_requests_total counter\n");
-        for s in &snaps {
-            let _ = writeln!(
-                out,
-                "sgla_requests_total{{endpoint=\"{}\"}} {}",
-                s.name, s.requests
-            );
-        }
-        out.push_str("# HELP sgla_request_errors_total Non-2xx responses per endpoint.\n");
-        out.push_str("# TYPE sgla_request_errors_total counter\n");
-        for s in &snaps {
-            let _ = writeln!(
-                out,
-                "sgla_request_errors_total{{endpoint=\"{}\"}} {}",
-                s.name, s.errors
-            );
-        }
-        out.push_str(
-            "# HELP sgla_request_latency_us Request latency per endpoint (microseconds).\n",
+        header(
+            out,
+            "sgla_requests_total",
+            "counter",
+            "Requests served per endpoint.",
         );
-        out.push_str("# TYPE sgla_request_latency_us histogram\n");
         for s in &snaps {
-            let mut cumulative = 0u64;
-            for (i, &count) in s.histogram.iter().enumerate() {
-                cumulative += count;
-                if count == 0 && i + 1 != s.histogram.len() {
-                    continue; // keep the page small: emit touched buckets + the tail
-                }
-                let _ = writeln!(
-                    out,
-                    "sgla_request_latency_us_bucket{{endpoint=\"{}\",le=\"{}\"}} {cumulative}",
-                    s.name,
-                    1u128 << (i + 1)
-                );
-            }
-            let _ = writeln!(
+            sample(
                 out,
-                "sgla_request_latency_us_bucket{{endpoint=\"{}\",le=\"+Inf\"}} {cumulative}",
-                s.name
-            );
-            let _ = writeln!(
-                out,
-                "sgla_request_latency_us_sum{{endpoint=\"{}\"}} {}",
-                s.name, s.total_micros
-            );
-            let _ = writeln!(
-                out,
-                "sgla_request_latency_us_count{{endpoint=\"{}\"}} {}",
-                s.name, s.requests
+                "sgla_requests_total",
+                &[("endpoint", s.name)],
+                s.latency_us.count,
             );
         }
-        out.push_str("# HELP sgla_uptime_seconds Seconds since the server started.\n");
-        out.push_str("# TYPE sgla_uptime_seconds gauge\n");
-        let _ = writeln!(out, "sgla_uptime_seconds {}", self.uptime_secs());
+        header(
+            out,
+            "sgla_request_errors_total",
+            "counter",
+            "Non-2xx responses per endpoint.",
+        );
+        for s in &snaps {
+            sample(
+                out,
+                "sgla_request_errors_total",
+                &[("endpoint", s.name)],
+                s.errors,
+            );
+        }
+        header(
+            out,
+            "sgla_request_latency_us",
+            "histogram",
+            "Request latency per endpoint (microseconds).",
+        );
+        for s in &snaps {
+            histogram(
+                out,
+                "sgla_request_latency_us",
+                &[("endpoint", s.name)],
+                &s.latency_us,
+            );
+        }
+        scalar(
+            out,
+            "sgla_uptime_seconds",
+            "gauge",
+            "Seconds since the server started.",
+            self.uptime_secs(),
+        );
     }
 
-    /// The counters for an endpoint label, if known.
+    /// The record for an endpoint label, if known.
     pub fn endpoint(&self, name: &str) -> Option<&EndpointMetrics> {
         self.endpoints.iter().find(|e| e.name == name)
     }
@@ -293,20 +252,7 @@ impl MetricsRegistry {
 
     /// Total requests across endpoints.
     pub fn total_requests(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.requests.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Overall queries per second since start.
-    pub fn qps(&self) -> f64 {
-        let secs = self.uptime_secs();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.total_requests() as f64 / secs
-        }
+        self.endpoints.iter().map(|e| e.latency_us.count()).sum()
     }
 }
 
@@ -417,36 +363,49 @@ impl ConnGauges {
     }
 
     /// Appends the connection gauges/counters to a Prometheus text
-    /// page (every `sgla_conn_*` family carries `# HELP` + `# TYPE`,
-    /// as [`validate_prometheus`] requires).
+    /// page.
     pub fn render_prometheus(&self, out: &mut String) {
-        use std::fmt::Write;
         let s = self.snapshot();
-        out.push_str("# HELP sgla_conn_open Connections currently open.\n");
-        out.push_str("# TYPE sgla_conn_open gauge\n");
-        let _ = writeln!(out, "sgla_conn_open {}", s.open);
-        out.push_str("# HELP sgla_conn_accepts_total Connections accepted since start.\n");
-        out.push_str("# TYPE sgla_conn_accepts_total counter\n");
-        let _ = writeln!(out, "sgla_conn_accepts_total {}", s.accepts);
-        out.push_str("# HELP sgla_conn_timeouts_total Connections reaped by the idle timeout.\n");
-        out.push_str("# TYPE sgla_conn_timeouts_total counter\n");
-        let _ = writeln!(out, "sgla_conn_timeouts_total {}", s.timeouts);
-        out.push_str(
-            "# HELP sgla_conn_shed_total Connections shed with a 503 at the connection cap.\n",
-        );
-        out.push_str("# TYPE sgla_conn_shed_total counter\n");
-        let _ = writeln!(out, "sgla_conn_shed_total {}", s.shed);
-        out.push_str(
-            "# HELP sgla_conn_read_buf_hwm_bytes Largest per-connection read buffer observed.\n",
-        );
-        out.push_str("# TYPE sgla_conn_read_buf_hwm_bytes gauge\n");
-        let _ = writeln!(out, "sgla_conn_read_buf_hwm_bytes {}", s.read_buf_hwm);
-        out.push_str(
-            "# HELP sgla_conn_write_buf_hwm_bytes Largest per-connection staged write buffer \
-             observed.\n",
-        );
-        out.push_str("# TYPE sgla_conn_write_buf_hwm_bytes gauge\n");
-        let _ = writeln!(out, "sgla_conn_write_buf_hwm_bytes {}", s.write_buf_hwm);
+        for (name, kind, help, value) in [
+            (
+                "sgla_conn_open",
+                "gauge",
+                "Connections currently open.",
+                s.open,
+            ),
+            (
+                "sgla_conn_accepts_total",
+                "counter",
+                "Connections accepted since start.",
+                s.accepts,
+            ),
+            (
+                "sgla_conn_timeouts_total",
+                "counter",
+                "Connections reaped by the idle timeout.",
+                s.timeouts,
+            ),
+            (
+                "sgla_conn_shed_total",
+                "counter",
+                "Connections shed with a 503 at the connection cap.",
+                s.shed,
+            ),
+            (
+                "sgla_conn_read_buf_hwm_bytes",
+                "gauge",
+                "Largest per-connection read buffer observed.",
+                s.read_buf_hwm,
+            ),
+            (
+                "sgla_conn_write_buf_hwm_bytes",
+                "gauge",
+                "Largest per-connection staged write buffer observed.",
+                s.write_buf_hwm,
+            ),
+        ] {
+            scalar(out, name, kind, help, value);
+        }
     }
 }
 
@@ -456,299 +415,113 @@ impl ConnGauges {
 /// pool to a Prometheus text page. Stage counters are cumulative
 /// since process start and only grow while tracing is enabled.
 pub fn render_observability(out: &mut String) {
-    use std::fmt::Write;
-    let stages = mvag_obs::stage_snapshot();
-    out.push_str(
-        "# HELP sgla_stage_duration_us Duration of pipeline stages (training phases and \
-         serve request stages), microseconds.\n",
+    header(
+        out,
+        "sgla_stage_duration_us",
+        "histogram",
+        "Duration of pipeline stages (training phases and serve request stages), microseconds.",
     );
-    out.push_str("# TYPE sgla_stage_duration_us histogram\n");
-    for s in &stages {
-        let mut cumulative = 0u64;
-        for (i, &count) in s.buckets.iter().enumerate() {
-            cumulative += count;
-            if count == 0 && i + 1 != s.buckets.len() {
-                continue; // same compaction as the endpoint histograms
-            }
-            let _ = writeln!(
-                out,
-                "sgla_stage_duration_us_bucket{{stage=\"{}\",le=\"{}\"}} {cumulative}",
-                s.name,
-                1u128 << (i + 1)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "sgla_stage_duration_us_bucket{{stage=\"{}\",le=\"+Inf\"}} {cumulative}",
-            s.name
-        );
-        let _ = writeln!(
-            out,
-            "sgla_stage_duration_us_sum{{stage=\"{}\"}} {}",
-            s.name, s.sum_us
-        );
-        let _ = writeln!(
-            out,
-            "sgla_stage_duration_us_count{{stage=\"{}\"}} {}",
-            s.name, s.count
-        );
+    for (name, snap) in &mvag_obs::stage_snapshot() {
+        histogram(out, "sgla_stage_duration_us", &[("stage", name)], snap);
     }
     let pool = mvag_sparse::pool::WorkerPool::global().stats();
-    out.push_str("# HELP sgla_pool_threads Persistent worker-pool threads (resolved size).\n");
-    out.push_str("# TYPE sgla_pool_threads gauge\n");
-    let _ = writeln!(out, "sgla_pool_threads {}", pool.threads);
-    out.push_str("# HELP sgla_pool_jobs_total Broadcasts dispatched to the worker pool.\n");
-    out.push_str("# TYPE sgla_pool_jobs_total counter\n");
-    let _ = writeln!(out, "sgla_pool_jobs_total {}", pool.jobs);
-    out.push_str(
-        "# HELP sgla_pool_inline_jobs_total Broadcasts run inline (reentrant or single-thread).\n",
-    );
-    out.push_str("# TYPE sgla_pool_inline_jobs_total counter\n");
-    let _ = writeln!(out, "sgla_pool_inline_jobs_total {}", pool.inline_jobs);
-    out.push_str(
-        "# HELP sgla_pool_dispatch_wait_seconds_total Time the dispatching thread spent \
-         waiting for workers to pick up broadcasts.\n",
-    );
-    out.push_str("# TYPE sgla_pool_dispatch_wait_seconds_total counter\n");
-    let _ = writeln!(
+    scalar(
         out,
-        "sgla_pool_dispatch_wait_seconds_total {}",
-        pool.dispatch_wait_ns as f64 / 1e9
+        "sgla_pool_threads",
+        "gauge",
+        "Persistent worker-pool threads (resolved size).",
+        pool.threads,
     );
-    out.push_str("# HELP sgla_pool_parks_total Times a pool worker parked on the condvar.\n");
-    out.push_str("# TYPE sgla_pool_parks_total counter\n");
-    let _ = writeln!(out, "sgla_pool_parks_total {}", pool.parks);
-    out.push_str("# HELP sgla_pool_unparks_total Times a parked pool worker was woken.\n");
-    out.push_str("# TYPE sgla_pool_unparks_total counter\n");
-    let _ = writeln!(out, "sgla_pool_unparks_total {}", pool.unparks);
-}
-
-/// Validates a Prometheus text-exposition page:
-///
-/// * every sample's metric family is preceded by a `# TYPE` line;
-/// * histogram `_bucket` series have strictly increasing `le` bounds
-///   with non-decreasing cumulative counts, end in `le="+Inf"`, and
-///   the `+Inf` count equals the family's `_count` sample;
-/// * every `sgla_stage_*`, `sgla_pool_*`, and `sgla_conn_*` family
-///   carries a `# HELP`.
-///
-/// Shared by the e2e conformance test and the serve benchmark's
-/// scrape-and-validate step.
-///
-/// # Errors
-/// A human-readable description of the first violation found.
-pub fn validate_prometheus(page: &str) -> std::result::Result<(), String> {
-    use std::collections::{BTreeMap, HashMap, HashSet};
-    let mut types: HashMap<String, String> = HashMap::new();
-    let mut helps: HashSet<String> = HashSet::new();
-    // (family, labels-without-le) → ordered (le, cumulative count).
-    let mut buckets: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
-    let mut counts: HashMap<(String, String), f64> = HashMap::new();
-    for (lineno, line) in page.lines().enumerate() {
-        let where_ = |msg: String| format!("line {}: {msg}", lineno + 1);
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let (Some(name), Some(kind)) = (it.next(), it.next()) else {
-                return Err(where_("malformed # TYPE line".into()));
-            };
-            types.insert(name.to_string(), kind.to_string());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let Some(name) = rest.split_whitespace().next() else {
-                return Err(where_("malformed # HELP line".into()));
-            };
-            helps.insert(name.to_string());
-            continue;
-        }
-        if line.starts_with('#') {
-            continue; // arbitrary comment
-        }
-        // Sample: name[{labels}] value
-        let (name_labels, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| where_("sample line without a value".into()))?;
-        let value: f64 = value
-            .parse()
-            .map_err(|_| where_(format!("unparsable sample value '{value}'")))?;
-        let (name, labels) = match name_labels.split_once('{') {
-            Some((n, rest)) => {
-                let labels = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| where_("unterminated label set".into()))?;
-                (n, labels)
-            }
-            None => (name_labels, ""),
-        };
-        // Resolve the family: histogram sample suffixes collapse.
-        let family = ["_bucket", "_sum", "_count"]
-            .iter()
-            .find_map(|suffix| {
-                name.strip_suffix(suffix)
-                    .filter(|base| types.get(*base).map(String::as_str) == Some("histogram"))
-            })
-            .unwrap_or(name);
-        if !types.contains_key(family) {
-            return Err(where_(format!("sample '{name}' has no preceding # TYPE")));
-        }
-        let base_labels: String = labels
-            .split(',')
-            .filter(|l| !l.starts_with("le=") && !l.is_empty())
-            .collect::<Vec<_>>()
-            .join(",");
-        let key = (family.to_string(), base_labels);
-        if name.ends_with("_bucket") && types.get(family).map(String::as_str) == Some("histogram") {
-            let le_raw = labels
-                .split(',')
-                .find_map(|l| l.strip_prefix("le=\"").and_then(|v| v.strip_suffix('"')))
-                .ok_or_else(|| where_(format!("bucket sample '{name}' without le label")))?;
-            let le = if le_raw == "+Inf" {
-                f64::INFINITY
-            } else {
-                le_raw
-                    .parse()
-                    .map_err(|_| where_(format!("unparsable le bound '{le_raw}'")))?
-            };
-            buckets.entry(key).or_default().push((le, value));
-        } else if name.ends_with("_count")
-            && types.get(family).map(String::as_str) == Some("histogram")
-        {
-            counts.insert(key, value);
-        }
-    }
-    for ((family, labels), series) in &buckets {
-        let label = if labels.is_empty() {
-            family.clone()
-        } else {
-            format!("{family}{{{labels}}}")
-        };
-        for pair in series.windows(2) {
-            if pair[1].0 <= pair[0].0 {
-                return Err(format!("{label}: le bounds not increasing"));
-            }
-            if pair[1].1 < pair[0].1 {
-                return Err(format!("{label}: bucket counts not cumulative"));
-            }
-        }
-        let Some(&(last_le, last_count)) = series.last() else {
-            continue;
-        };
-        if !last_le.is_infinite() {
-            return Err(format!("{label}: histogram missing le=\"+Inf\" bucket"));
-        }
-        match counts.get(&(family.clone(), labels.clone())) {
-            Some(&count) if count == last_count => {}
-            Some(&count) => {
-                return Err(format!(
-                    "{label}: +Inf bucket {last_count} != _count {count}"
-                ))
-            }
-            None => return Err(format!("{label}: histogram without a _count sample")),
-        }
-    }
-    for family in types.keys() {
-        if (family.starts_with("sgla_stage_")
-            || family.starts_with("sgla_pool_")
-            || family.starts_with("sgla_conn_")
-            || family.starts_with("sgla_slow_query_")
-            || family.starts_with("sgla_slo_")
-            || family.starts_with("sgla_compact_")
-            || family.starts_with("sgla_store_"))
-            && !helps.contains(family)
-        {
-            return Err(format!("{family}: observability family without # HELP"));
-        }
-    }
-    Ok(())
+    scalar(
+        out,
+        "sgla_pool_jobs_total",
+        "counter",
+        "Broadcasts dispatched to the worker pool.",
+        pool.jobs,
+    );
+    scalar(
+        out,
+        "sgla_pool_inline_jobs_total",
+        "counter",
+        "Broadcasts run inline (reentrant or single-thread).",
+        pool.inline_jobs,
+    );
+    scalar(
+        out,
+        "sgla_pool_dispatch_wait_seconds_total",
+        "counter",
+        "Time the dispatching thread spent waiting for workers to pick up broadcasts.",
+        pool.dispatch_wait_ns as f64 / 1e9,
+    );
+    scalar(
+        out,
+        "sgla_pool_parks_total",
+        "counter",
+        "Times a pool worker parked on the condvar.",
+        pool.parks,
+    );
+    scalar(
+        out,
+        "sgla_pool_unparks_total",
+        "counter",
+        "Times a parked pool worker was woken.",
+        pool.unparks,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::SloTracker;
 
-    #[test]
-    fn bucketing_is_log2() {
-        assert_eq!(EndpointMetrics::bucket_of(0), 0);
-        assert_eq!(EndpointMetrics::bucket_of(1), 0);
-        assert_eq!(EndpointMetrics::bucket_of(2), 1);
-        assert_eq!(EndpointMetrics::bucket_of(3), 1);
-        assert_eq!(EndpointMetrics::bucket_of(4), 2);
-        assert_eq!(EndpointMetrics::bucket_of(1024), 10);
-        assert_eq!(EndpointMetrics::bucket_of(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_bracket_recorded_latency() {
-        let m = EndpointMetrics::new("x");
-        for _ in 0..100 {
-            m.record(Duration::from_micros(100), true);
-        }
-        m.record(Duration::from_micros(90_000), false);
-        let snap = m.snapshot();
-        assert_eq!(snap.requests, 101);
-        assert_eq!(snap.errors, 1);
-        let p50 = snap.quantile_micros(0.5);
-        assert!((64.0..256.0).contains(&p50), "p50 = {p50}");
-        let p999 = snap.quantile_micros(0.999);
-        assert!(p999 >= 65_536.0, "p99.9 = {p999}");
-        assert!(snap.mean_micros() > 100.0);
-    }
-
-    #[test]
-    fn empty_snapshot_is_zero() {
-        let m = EndpointMetrics::new("x");
-        let snap = m.snapshot();
-        assert_eq!(snap.quantile_micros(0.5), 0.0);
-        assert_eq!(snap.mean_micros(), 0.0);
+    fn registry() -> MetricsRegistry {
+        MetricsRegistry::new(&[60, 300, 3600])
     }
 
     #[test]
     fn registry_lookup_and_totals() {
-        let r = MetricsRegistry::new();
-        r.endpoint("topk")
-            .unwrap()
-            .record(Duration::from_micros(5), true);
-        r.endpoint("cluster")
-            .unwrap()
-            .record(Duration::from_micros(5), true);
+        let r = registry();
+        r.record("topk", 0, 5, true, false);
+        r.endpoint("cluster").unwrap().record(0, 5, true, false);
+        r.record("nope", 0, 5, true, false);
         assert!(r.endpoint("nope").is_none());
         assert_eq!(r.total_requests(), 2);
     }
 
     #[test]
     fn delta_snapshots_reset_on_read_without_losing_totals() {
-        let r = MetricsRegistry::new();
+        let r = registry();
         let topk = r.endpoint("topk").unwrap();
-        topk.record(Duration::from_micros(10), true);
-        topk.record(Duration::from_micros(10), false);
+        topk.record(0, 10, true, false);
+        topk.record(0, 10, false, false);
         let (d1, w1) = r.delta_snapshots();
         let topk_d1 = d1.iter().find(|s| s.name == "topk").unwrap();
-        assert_eq!(topk_d1.requests, 2);
+        assert_eq!(topk_d1.latency_us.count, 2);
         assert_eq!(topk_d1.errors, 1);
         assert!(w1 >= 0.0);
         // Nothing since the reset: the next delta is empty...
         let (d2, _) = r.delta_snapshots();
-        assert_eq!(d2.iter().find(|s| s.name == "topk").unwrap().requests, 0);
+        let topk_d2 = d2.iter().find(|s| s.name == "topk").unwrap();
+        assert_eq!(topk_d2.latency_us.count, 0);
         // ...one more request shows up as exactly one...
-        topk.record(Duration::from_micros(10), true);
+        topk.record(0, 10, true, false);
         let (d3, _) = r.delta_snapshots();
         let topk_d3 = d3.iter().find(|s| s.name == "topk").unwrap();
-        assert_eq!(topk_d3.requests, 1);
+        assert_eq!(topk_d3.latency_us.count, 1);
         assert_eq!(topk_d3.errors, 0);
-        assert_eq!(topk_d3.quantile_micros(0.5), 16.0, "delta histograms work");
+        assert_eq!(
+            topk_d3.latency_us.quantile(0.5),
+            16.0,
+            "delta histograms work"
+        );
         // ...and the cumulative view never lost anything.
         assert_eq!(r.total_requests(), 3);
     }
 
     #[test]
     fn prometheus_rendering_has_counters_and_histogram() {
-        let r = MetricsRegistry::new();
-        r.endpoint("topk")
-            .unwrap()
-            .record(Duration::from_micros(100), true);
+        let r = registry();
+        r.record("topk", 0, 100, true, false);
         let mut page = String::new();
         r.render_prometheus(&mut page);
         assert!(page.contains("# TYPE sgla_requests_total counter"));
@@ -761,13 +534,9 @@ mod tests {
 
     #[test]
     fn rendered_page_passes_validation() {
-        let r = MetricsRegistry::new();
-        r.endpoint("topk")
-            .unwrap()
-            .record(Duration::from_micros(100), true);
-        r.endpoint("embed")
-            .unwrap()
-            .record(Duration::from_micros(7), false);
+        let r = registry();
+        r.record("topk", 0, 100, true, false);
+        r.record("embed", 0, 7, false, false);
         let mut page = String::new();
         r.render_prometheus(&mut page);
         render_observability(&mut page);
@@ -776,27 +545,332 @@ mod tests {
         assert!(page.contains("sgla_pool_threads "));
     }
 
+    /// `(endpoint, now_secs, latency_us, ok)` — a fixed request
+    /// sequence spanning 30 seconds, so the 12-second SLO window has
+    /// both expired slices and reused slots by the end.
+    fn golden_traffic() -> Vec<(&'static str, u64, u64, bool)> {
+        let mut t = vec![
+            ("topk", 0, 0, true),
+            ("topk", 0, 1, true),
+            ("topk", 1, 90_000, false),
+            ("cluster", 1, 15, true),
+            ("cluster", 2, 2_000, false),
+            ("embed", 2, 65_536, true),
+            ("other", 3, 3, false),
+            ("healthz", 3, 40, true),
+        ];
+        for i in 0..300u64 {
+            let ep = ["topk", "topk", "cluster", "embed", "metrics"][(i % 5) as usize];
+            let us = 50 + (i * 37) % 400 + if i % 29 == 0 { 5_000 } else { 0 };
+            t.push((ep, i / 10, us, i % 17 != 0));
+        }
+        t
+    }
+
+    /// The lines of `page` whose metric family satisfies `keep`.
+    fn family_lines(page: &str, keep: impl Fn(&str, &str) -> bool) -> String {
+        let mut out = String::new();
+        for line in page.lines() {
+            let body = line
+                .strip_prefix("# HELP ")
+                .or_else(|| line.strip_prefix("# TYPE "))
+                .unwrap_or(line);
+            let name = body.split([' ', '{']).next().unwrap();
+            if keep(name, line) {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// For a fixed recorded sequence, the endpoint, stage, SLO and
+    /// connection families render byte for byte the page in
+    /// `tests/data/metrics_golden.prom` (what scrapers and dashboards
+    /// parse), and `/stats` quantiles and SLO p99s keep their exact bits.
     #[test]
-    fn validator_rejects_violations() {
-        // Sample before its TYPE line.
-        let page = "sgla_x_total 1\n# TYPE sgla_x_total counter\n";
-        assert!(validate_prometheus(page).unwrap_err().contains("# TYPE"));
-        // Non-cumulative buckets.
-        let page = "# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\n\
-                    h_count 5\nh_sum 9\n";
-        assert!(validate_prometheus(page)
-            .unwrap_err()
-            .contains("cumulative"));
-        // +Inf bucket disagrees with _count.
-        let page = "# TYPE h histogram\n\
-                    h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_count 6\nh_sum 9\n";
-        assert!(validate_prometheus(page).unwrap_err().contains("_count"));
-        // Missing +Inf bucket entirely.
-        let page = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_count 5\nh_sum 9\n";
-        assert!(validate_prometheus(page).unwrap_err().contains("+Inf"));
-        // Observability family without HELP.
-        let page = "# TYPE sgla_pool_threads gauge\nsgla_pool_threads 4\n";
-        assert!(validate_prometheus(page).unwrap_err().contains("# HELP"));
+    fn golden_page_and_stats_are_unchanged() {
+        let r = MetricsRegistry::new(&[12, 60, 120]);
+        let slo = SloTracker::new(1000, 0.01);
+        let traffic = golden_traffic();
+        let (first, rest) = traffic.split_at(100);
+        for &(ep, now, us, ok) in first {
+            r.record(ep, now, us, ok, slo.is_slow(us));
+        }
+        let (d1, _) = r.delta_snapshots();
+        for &(ep, now, us, ok) in rest {
+            r.record(ep, now, us, ok, slo.is_slow(us));
+        }
+        let (d2, _) = r.delta_snapshots();
+
+        // (view, endpoint, requests, errors, mean bits, p50 bits, p99 bits)
+        let expected_stats: &[(&str, &str, u64, u64, u64, u64, u64)] = &[
+            (
+                "cum",
+                "healthz",
+                1,
+                0,
+                0x4044000000000000,
+                0x4050000000000000,
+                0x4050000000000000,
+            ),
+            ("cum", "health", 0, 0, 0x0, 0x0, 0x0),
+            ("cum", "stats", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "cum",
+                "metrics",
+                60,
+                4,
+                0x4079f80000000000,
+                0x4070000000000000,
+                0x40c0000000000000,
+            ),
+            ("cum", "artifact", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "cum",
+                "cluster",
+                62,
+                5,
+                0x407b1f39ce739ce7,
+                0x40708d3dcb08d3dd,
+                0x40c0000000000000,
+            ),
+            (
+                "cum",
+                "topk",
+                123,
+                8,
+                0x409268e0c7ce0c7d,
+                0x406f96f96f96f970,
+                0x40c0000000000000,
+            ),
+            (
+                "cum",
+                "embed",
+                61,
+                3,
+                0x40971dc53ef368eb,
+                0x40711a7b9611a7b9,
+                0x4100000000000000,
+            ),
+            ("cum", "reload", 0, 0, 0x0, 0x0, 0x0),
+            ("cum", "traces", 0, 0, 0x0, 0x0, 0x0),
+            ("cum", "version", 0, 0, 0x0, 0x0, 0x0),
+            ("cum", "debug", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "cum",
+                "other",
+                1,
+                1,
+                0x4008000000000000,
+                0x4010000000000000,
+                0x4010000000000000,
+            ),
+            (
+                "d1",
+                "healthz",
+                1,
+                0,
+                0x4044000000000000,
+                0x4050000000000000,
+                0x4050000000000000,
+            ),
+            ("d1", "health", 0, 0, 0x0, 0x0, 0x0),
+            ("d1", "stats", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "d1",
+                "metrics",
+                18,
+                1,
+                0x4080c95555555555,
+                0x4070000000000000,
+                0x40c0000000000000,
+            ),
+            ("d1", "artifact", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "d1",
+                "cluster",
+                20,
+                2,
+                0x40816ccccccccccd,
+                0x4070000000000000,
+                0x40c0000000000000,
+            ),
+            (
+                "d1",
+                "topk",
+                41,
+                4,
+                0x40a3d4c7ce0c7ce1,
+                0x406d89d89d89d89e,
+                0x4100000000000000,
+            ),
+            (
+                "d1",
+                "embed",
+                19,
+                1,
+                0x40aed050d79435e5,
+                0x40738e38e38e38e4,
+                0x4100000000000000,
+            ),
+            ("d1", "reload", 0, 0, 0x0, 0x0, 0x0),
+            ("d1", "traces", 0, 0, 0x0, 0x0, 0x0),
+            ("d1", "version", 0, 0, 0x0, 0x0, 0x0),
+            ("d1", "debug", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "d1",
+                "other",
+                1,
+                1,
+                0x4008000000000000,
+                0x4010000000000000,
+                0x4010000000000000,
+            ),
+            ("d2", "healthz", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "health", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "stats", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "d2",
+                "metrics",
+                42,
+                3,
+                0x4076b5b6db6db6db,
+                0x4070000000000000,
+                0x40c0000000000000,
+            ),
+            ("d2", "artifact", 0, 0, 0x0, 0x0, 0x0),
+            (
+                "d2",
+                "cluster",
+                42,
+                3,
+                0x4077712492492492,
+                0x4070c30c30c30c31,
+                0x40c0000000000000,
+            ),
+            (
+                "d2",
+                "topk",
+                82,
+                4,
+                0x407f222576a2576a,
+                0x40706bca1af286bd,
+                0x40c0000000000000,
+            ),
+            (
+                "d2",
+                "embed",
+                42,
+                2,
+                0x4076c73cf3cf3cf4,
+                0x4070000000000000,
+                0x40c0000000000000,
+            ),
+            ("d2", "reload", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "traces", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "version", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "debug", 0, 0, 0x0, 0x0, 0x0),
+            ("d2", "other", 0, 0, 0x0, 0x0, 0x0),
+        ];
+        let mut got = Vec::new();
+        for (view, snaps) in [("cum", r.snapshots()), ("d1", d1), ("d2", d2)] {
+            for s in snaps {
+                let h = &s.latency_us;
+                got.push((
+                    view,
+                    s.name,
+                    h.count,
+                    s.errors,
+                    h.mean().to_bits(),
+                    h.quantile(0.5).to_bits(),
+                    h.quantile(0.99).to_bits(),
+                ));
+            }
+        }
+        assert_eq!(got, expected_stats);
+
+        // (endpoint, window, requests, errors, slow, p99 bits) at t=30.
+        let expected_windows: &[(&str, &str, u64, u64, u64, u64)] = &[
+            ("healthz", "12s", 0, 0, 0, 0x0),
+            ("healthz", "1m", 1, 0, 0, 0x4050000000000000),
+            ("healthz", "2m", 1, 0, 0, 0x4050000000000000),
+            ("metrics", "12s", 22, 2, 0, 0x4080000000000000),
+            ("metrics", "1m", 60, 4, 2, 0x40c0000000000000),
+            ("metrics", "2m", 60, 4, 2, 0x40c0000000000000),
+            ("cluster", "12s", 22, 1, 1, 0x40c0000000000000),
+            ("cluster", "1m", 62, 5, 3, 0x40c0000000000000),
+            ("cluster", "2m", 62, 5, 3, 0x40c0000000000000),
+            ("topk", "12s", 44, 2, 2, 0x40c0000000000000),
+            ("topk", "1m", 123, 8, 6, 0x40c0000000000000),
+            ("topk", "2m", 123, 8, 6, 0x40c0000000000000),
+            ("embed", "12s", 22, 1, 1, 0x40c0000000000000),
+            ("embed", "1m", 61, 3, 3, 0x4100000000000000),
+            ("embed", "2m", 61, 3, 3, 0x4100000000000000),
+            ("other", "12s", 0, 0, 0, 0x0),
+            ("other", "1m", 1, 1, 0, 0x4010000000000000),
+            ("other", "2m", 1, 1, 0, 0x4010000000000000),
+        ];
+        let windows = r.slo_snapshot(30);
+        let mut got = Vec::new();
+        for s in &windows {
+            for w in &s.windows {
+                got.push((
+                    s.name,
+                    crate::slo::window_name(w.span_secs),
+                    w.requests(),
+                    w.errors,
+                    w.slow,
+                    w.hist.quantile(0.99).to_bits(),
+                ));
+            }
+        }
+        let got: Vec<_> = got
+            .iter()
+            .map(|(a, b, c, d, e, f)| (*a, b.as_str(), *c, *d, *e, *f))
+            .collect();
+        assert_eq!(got, expected_windows);
+        let (status, reasons) = slo.evaluate(&windows);
+        assert_eq!(
+            format!("{status:?} {reasons:?}"),
+            r#"Degraded ["metrics/12s: error rate 0.0909 over objective 0.0100 (burn 9.1)", "metrics/1m: p99 8192us over objective 1000us (burn 3.3)", "metrics/1m: error rate 0.0667 over objective 0.0100 (burn 6.7)", "cluster/12s: p99 8192us over objective 1000us (burn 4.5)", "cluster/12s: error rate 0.0455 over objective 0.0100 (burn 4.5)", "cluster/1m: p99 8192us over objective 1000us (burn 4.8)", "cluster/1m: error rate 0.0806 over objective 0.0100 (burn 8.1)", "topk/12s: p99 8192us over objective 1000us (burn 4.5)", "topk/12s: error rate 0.0455 over objective 0.0100 (burn 4.5)", "topk/1m: p99 8192us over objective 1000us (burn 4.9)", "topk/1m: error rate 0.0650 over objective 0.0100 (burn 6.5)", "embed/12s: p99 8192us over objective 1000us (burn 4.5)", "embed/12s: error rate 0.0455 over objective 0.0100 (burn 4.5)", "embed/1m: p99 131072us over objective 1000us (burn 4.9)", "embed/1m: error rate 0.0492 over objective 0.0100 (burn 4.9)"]"#
+        );
+
+        let g = ConnGauges::new();
+        for _ in 0..5 {
+            g.accepted();
+        }
+        for _ in 0..4 {
+            g.opened();
+        }
+        g.closed();
+        g.timed_out();
+        g.shed();
+        g.observe_read_buf(512);
+        g.observe_read_buf(100);
+        g.observe_write_buf(4096);
+
+        mvag_obs::set_enabled(true);
+        for d in [0, 1, 5, 900, 900, 70_000] {
+            mvag_obs::record(0, "golden.alpha", 0, d, 0);
+        }
+        for d in [3, 3_000_000] {
+            mvag_obs::record(0, "golden.beta", 0, d, 0);
+        }
+        mvag_obs::set_enabled(false);
+
+        let mut page = String::new();
+        r.render_prometheus(&mut page);
+        g.render_prometheus(&mut page);
+        slo.render_prometheus(&windows, &mut page);
+        render_observability(&mut page);
+        let golden = family_lines(&page, |name, line| {
+            name.starts_with("sgla_request")
+                || name.starts_with("sgla_conn_")
+                || name.starts_with("sgla_slo_")
+                || (name.starts_with("sgla_stage_duration_us")
+                    && (line.starts_with('#') || line.contains("stage=\"golden.")))
+        });
+        assert_eq!(golden, include_str!("../tests/data/metrics_golden.prom"));
     }
 }

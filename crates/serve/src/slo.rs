@@ -3,10 +3,11 @@
 //! Tracks per-endpoint latency and error rate over three rolling
 //! windows (1m/5m/1h by default, tunable for tests) against two
 //! configured objectives: a p99 latency bound (`--slo-p99-us`) and an
-//! error-rate budget (`--slo-error-rate`). Each window is a ring of
-//! `SLICES` time slices of relaxed atomics — recording a request is
-//! a handful of atomic adds, and stale slices are lazily reset when
-//! their slot is reused, so no background sweeper thread is needed.
+//! error-rate budget (`--slo-error-rate`). The windows themselves are
+//! [`mvag_obs::metrics::Window`]s held in each endpoint's metrics
+//! record, so a request is recorded once for `/stats`, `/metrics` and
+//! the SLO; this module classifies requests as slow at record time and
+//! judges the window snapshots.
 //!
 //! Two *burn rates* are derived per window, both "fraction of budget
 //! consumed per unit of budget allowed" in the SRE sense:
@@ -23,14 +24,8 @@
 //! service; background-task state (reload failures, running
 //! compactions, tombstone debt) is folded in by the HTTP layer.
 
+use mvag_obs::metrics::{header, sample, scalar, WindowSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Slices per rolling window: the window "forgets" a slice's worth of
-/// history at a time, so resolution is `span / SLICES`.
-const SLICES: usize = 12;
-
-/// Log₂ latency buckets, matching [`crate::metrics`].
-const BUCKETS: usize = 36;
 
 /// Minimum requests in a window before it can declare a violation —
 /// one slow request on an idle server is noise, not an incident.
@@ -40,12 +35,8 @@ pub const MIN_SAMPLES: u64 = 20;
 /// than `degraded` (the SRE fast-burn paging threshold).
 pub const FAST_BURN: f64 = 14.0;
 
-fn bucket_of(micros: u64) -> usize {
-    ((64 - micros.max(1).leading_zeros()) as usize - 1).min(BUCKETS - 1)
-}
-
 /// Pretty window label: `60 → "1m"`, `3600 → "1h"`, else `"{n}s"`.
-fn window_name(span_secs: u64) -> String {
+pub(crate) fn window_name(span_secs: u64) -> String {
     if span_secs.is_multiple_of(3600) && span_secs > 0 {
         format!("{}h", span_secs / 3600)
     } else if span_secs.is_multiple_of(60) && span_secs > 0 {
@@ -53,179 +44,6 @@ fn window_name(span_secs: u64) -> String {
     } else {
         format!("{span_secs}s")
     }
-}
-
-/// One time slice of a rolling window. `epoch` tags which slice
-/// interval the counters describe; a reused slot is reset lazily by
-/// the first recorder of the new interval. Races around the reset can
-/// undercount a request or two — these are SLO gauges, not billing.
-struct Slice {
-    epoch: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    slow: AtomicU64,
-    sum_us: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Slice {
-    fn new() -> Slice {
-        Slice {
-            epoch: AtomicU64::new(u64::MAX),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            slow: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
-        self.slow.store(0, Ordering::Relaxed);
-        self.sum_us.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A rolling window over `SLICES` slices of `slice_secs` each.
-struct Window {
-    name: String,
-    span_secs: u64,
-    slice_secs: u64,
-    slices: Vec<Slice>,
-}
-
-impl Window {
-    fn new(span_secs: u64) -> Window {
-        let span_secs = span_secs.max(1);
-        Window {
-            name: window_name(span_secs),
-            span_secs,
-            slice_secs: (span_secs / SLICES as u64).max(1),
-            slices: (0..SLICES).map(|_| Slice::new()).collect(),
-        }
-    }
-
-    fn record(&self, now_secs: u64, latency_us: u64, ok: bool, slow: bool) {
-        let epoch = now_secs / self.slice_secs;
-        let slice = &self.slices[(epoch % SLICES as u64) as usize];
-        if slice.epoch.load(Ordering::Relaxed) != epoch {
-            slice.reset();
-            slice.epoch.store(epoch, Ordering::Relaxed);
-        }
-        slice.requests.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            slice.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if slow {
-            slice.slow.fetch_add(1, Ordering::Relaxed);
-        }
-        slice.sum_us.fetch_add(latency_us, Ordering::Relaxed);
-        slice.buckets[bucket_of(latency_us)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, now_secs: u64) -> WindowSnapshot {
-        let current = now_secs / self.slice_secs;
-        let oldest = current.saturating_sub(SLICES as u64 - 1);
-        let mut snap = WindowSnapshot {
-            name: self.name.clone(),
-            span_secs: self.span_secs,
-            requests: 0,
-            errors: 0,
-            slow: 0,
-            sum_us: 0,
-            buckets: [0; BUCKETS],
-        };
-        for slice in &self.slices {
-            let epoch = slice.epoch.load(Ordering::Relaxed);
-            if epoch < oldest || epoch > current {
-                continue; // stale (or never-used) slot
-            }
-            snap.requests += slice.requests.load(Ordering::Relaxed);
-            snap.errors += slice.errors.load(Ordering::Relaxed);
-            snap.slow += slice.slow.load(Ordering::Relaxed);
-            snap.sum_us += slice.sum_us.load(Ordering::Relaxed);
-            for (acc, b) in snap.buckets.iter_mut().zip(&slice.buckets) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-        }
-        snap
-    }
-}
-
-/// Point-in-time aggregate of one rolling window.
-#[derive(Debug, Clone)]
-pub struct WindowSnapshot {
-    /// Window label (`"1m"`, `"5m"`, `"1h"`, or `"{n}s"`).
-    pub name: String,
-    /// Window span in seconds.
-    pub span_secs: u64,
-    /// Requests recorded inside the window.
-    pub requests: u64,
-    /// Non-2xx responses inside the window.
-    pub errors: u64,
-    /// Requests slower than the p99 objective in force when recorded.
-    pub slow: u64,
-    /// Sum of request latencies (microseconds).
-    pub sum_us: u64,
-    buckets: [u64; BUCKETS],
-}
-
-impl WindowSnapshot {
-    /// Fraction of requests that errored (0 with no traffic).
-    pub fn error_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.errors as f64 / self.requests as f64
-        }
-    }
-
-    /// Fraction of requests slower than the p99 objective.
-    pub fn slow_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.slow as f64 / self.requests as f64
-        }
-    }
-
-    /// Approximate p99 latency in microseconds (log₂-bucket
-    /// interpolation, same estimator as `/stats`).
-    pub fn p99_us(&self) -> f64 {
-        self.quantile_us(0.99)
-    }
-
-    /// Approximate latency quantile in microseconds.
-    pub fn quantile_us(&self, q: f64) -> f64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if seen + count >= rank {
-                let lo = (1u64 << i) as f64;
-                return lo + (rank - seen) as f64 / count as f64 * lo;
-            }
-            seen += count;
-        }
-        (1u64 << (BUCKETS - 1)) as f64
-    }
-}
-
-/// One endpoint's set of rolling windows.
-struct EndpointSlo {
-    name: &'static str,
-    windows: Vec<Window>,
 }
 
 /// Per-endpoint SLO snapshot, windows in configured order.
@@ -260,30 +78,24 @@ impl HealthStatus {
     }
 }
 
-/// Multi-window SLO tracker for every endpoint the server routes.
+/// SLO objectives and the burn-rate state machine over the rolling
+/// windows each endpoint record keeps
+/// ([`MetricsRegistry::slo_snapshot`](crate::metrics::MetricsRegistry::slo_snapshot)).
 ///
 /// Objectives are live-tunable (`PUT /debug/slo`): the p99 bound is
-/// consulted *at record time* to classify a request as slow, so a
-/// tightened objective applies to traffic from that moment on.
+/// consulted *at record time* to classify a request as slow
+/// ([`SloTracker::is_slow`]), so a tightened objective applies to
+/// traffic from that moment on.
 pub struct SloTracker {
-    endpoints: Vec<EndpointSlo>,
     objective_p99_us: AtomicU64,
     /// Error budget in parts-per-million (atomic live-tunable f64).
     objective_error_ppm: AtomicU64,
 }
 
 impl SloTracker {
-    /// Builds a tracker with the given window spans (seconds, shortest
-    /// first) and objectives (0 disables either objective).
-    pub fn new(window_secs: &[u64], p99_us: u64, error_rate: f64) -> SloTracker {
+    /// Builds a tracker with the given objectives (0 disables either).
+    pub fn new(p99_us: u64, error_rate: f64) -> SloTracker {
         SloTracker {
-            endpoints: crate::metrics::ENDPOINTS
-                .iter()
-                .map(|name| EndpointSlo {
-                    name,
-                    windows: window_secs.iter().map(|&s| Window::new(s)).collect(),
-                })
-                .collect(),
             objective_p99_us: AtomicU64::new(p99_us),
             objective_error_ppm: AtomicU64::new(rate_to_ppm(error_rate)),
         }
@@ -310,30 +122,11 @@ impl SloTracker {
             .store(rate_to_ppm(rate), Ordering::Relaxed);
     }
 
-    /// Records one completed request for `endpoint` at `now_secs`
-    /// (monotonic seconds; the caller supplies the clock so tests can
-    /// drive time deterministically).
-    pub fn record(&self, endpoint: &str, now_secs: u64, latency_us: u64, ok: bool) {
-        let Some(slot) = self.endpoints.iter().find(|e| e.name == endpoint) else {
-            return;
-        };
+    /// Whether a request of `latency_us` breaks the p99 objective in
+    /// force now (never, when the objective is disabled).
+    pub fn is_slow(&self, latency_us: u64) -> bool {
         let p99 = self.objective_p99_us();
-        let slow = p99 > 0 && latency_us > p99;
-        for window in &slot.windows {
-            window.record(now_secs, latency_us, ok, slow);
-        }
-    }
-
-    /// Snapshots every endpoint that saw traffic in its widest window.
-    pub fn snapshot(&self, now_secs: u64) -> Vec<EndpointSloSnapshot> {
-        self.endpoints
-            .iter()
-            .map(|e| EndpointSloSnapshot {
-                name: e.name,
-                windows: e.windows.iter().map(|w| w.snapshot(now_secs)).collect(),
-            })
-            .filter(|s| s.windows.iter().any(|w| w.requests > 0))
-            .collect()
+        p99 > 0 && latency_us > p99
     }
 
     /// Error-budget burn for a window: observed error rate ÷
@@ -361,12 +154,12 @@ impl SloTracker {
     /// Evaluates the SLO state machine over the two shortest windows
     /// of every endpoint with enough traffic. Returns the worst status
     /// plus one human-readable reason per violation.
-    pub fn evaluate(&self, now_secs: u64) -> (HealthStatus, Vec<String>) {
+    pub fn evaluate(&self, endpoints: &[EndpointSloSnapshot]) -> (HealthStatus, Vec<String>) {
         let mut status = HealthStatus::Ok;
         let mut reasons = Vec::new();
-        for snap in self.snapshot(now_secs) {
+        for snap in endpoints {
             for window in snap.windows.iter().take(2) {
-                if window.requests < MIN_SAMPLES {
+                if window.requests() < MIN_SAMPLES {
                     continue;
                 }
                 let latency_burn = self.latency_burn(window);
@@ -375,8 +168,8 @@ impl SloTracker {
                     reasons.push(format!(
                         "{}/{}: p99 {:.0}us over objective {}us (burn {:.1})",
                         snap.name,
-                        window.name,
-                        window.p99_us(),
+                        window_name(window.span_secs),
+                        window.hist.quantile(0.99),
                         self.objective_p99_us(),
                         latency_burn
                     ));
@@ -385,7 +178,7 @@ impl SloTracker {
                     reasons.push(format!(
                         "{}/{}: error rate {:.4} over objective {:.4} (burn {:.1})",
                         snap.name,
-                        window.name,
+                        window_name(window.span_secs),
                         window.error_rate(),
                         self.objective_error_rate(),
                         error_burn
@@ -407,72 +200,64 @@ impl SloTracker {
 
     /// Appends the `sgla_slo_*` families to a Prometheus text page.
     /// Objective gauges always render (so the families are present on
-    /// an idle server); per-endpoint series render for endpoints with
-    /// traffic.
-    pub fn render_prometheus(&self, now_secs: u64, out: &mut String) {
-        use std::fmt::Write;
-        out.push_str("# HELP sgla_slo_objective_p99_us Configured p99 objective (0 = off).\n");
-        out.push_str("# TYPE sgla_slo_objective_p99_us gauge\n");
-        let _ = writeln!(out, "sgla_slo_objective_p99_us {}", self.objective_p99_us());
-        out.push_str(
-            "# HELP sgla_slo_objective_error_rate Configured error-rate objective (0 = off).\n",
-        );
-        out.push_str("# TYPE sgla_slo_objective_error_rate gauge\n");
-        let _ = writeln!(
+    /// an idle server); per-endpoint series render for the endpoints in
+    /// `endpoints` (those with traffic).
+    pub fn render_prometheus(&self, endpoints: &[EndpointSloSnapshot], out: &mut String) {
+        scalar(
             out,
-            "sgla_slo_objective_error_rate {}",
-            self.objective_error_rate()
+            "sgla_slo_objective_p99_us",
+            "gauge",
+            "Configured p99 objective (0 = off).",
+            self.objective_p99_us(),
         );
-        let snaps = self.snapshot(now_secs);
-        out.push_str("# HELP sgla_slo_window_requests Requests inside each rolling window.\n");
-        out.push_str("# TYPE sgla_slo_window_requests gauge\n");
-        for s in &snaps {
-            for w in &s.windows {
-                let _ = writeln!(
-                    out,
-                    "sgla_slo_window_requests{{endpoint=\"{}\",window=\"{}\"}} {}",
-                    s.name, w.name, w.requests
-                );
-            }
-        }
-        out.push_str("# HELP sgla_slo_p99_us Estimated p99 latency per rolling window.\n");
-        out.push_str("# TYPE sgla_slo_p99_us gauge\n");
-        for s in &snaps {
-            for w in &s.windows {
-                let _ = writeln!(
-                    out,
-                    "sgla_slo_p99_us{{endpoint=\"{}\",window=\"{}\"}} {}",
-                    s.name,
-                    w.name,
-                    w.p99_us()
-                );
-            }
-        }
-        out.push_str("# HELP sgla_slo_error_rate Error rate per rolling window.\n");
-        out.push_str("# TYPE sgla_slo_error_rate gauge\n");
-        for s in &snaps {
-            for w in &s.windows {
-                let _ = writeln!(
-                    out,
-                    "sgla_slo_error_rate{{endpoint=\"{}\",window=\"{}\"}} {}",
-                    s.name,
-                    w.name,
-                    w.error_rate()
-                );
-            }
-        }
-        out.push_str(
-            "# HELP sgla_slo_burn_rate Worst budget burn (error or latency) per window; \
-             1.0 consumes the budget exactly as fast as allowed.\n",
+        scalar(
+            out,
+            "sgla_slo_objective_error_rate",
+            "gauge",
+            "Configured error-rate objective (0 = off).",
+            self.objective_error_rate(),
         );
-        out.push_str("# TYPE sgla_slo_burn_rate gauge\n");
-        for s in &snaps {
-            for w in &s.windows {
-                let burn = self.error_burn(w).max(self.latency_burn(w));
-                let _ = writeln!(
+        // Per window: requests, p99, error rate, worst burn — one
+        // family each, in that order.
+        let rows: Vec<(&str, String, [f64; 4])> = endpoints
+            .iter()
+            .flat_map(|s| {
+                s.windows.iter().map(move |w| {
+                    let burn = self.error_burn(w).max(self.latency_burn(w));
+                    let values = [
+                        w.requests() as f64,
+                        w.hist.quantile(0.99),
+                        w.error_rate(),
+                        burn,
+                    ];
+                    (s.name, window_name(w.span_secs), values)
+                })
+            })
+            .collect();
+        let families = [
+            (
+                "sgla_slo_window_requests",
+                "Requests inside each rolling window.",
+            ),
+            (
+                "sgla_slo_p99_us",
+                "Estimated p99 latency per rolling window.",
+            ),
+            ("sgla_slo_error_rate", "Error rate per rolling window."),
+            (
+                "sgla_slo_burn_rate",
+                "Worst budget burn (error or latency) per window; 1.0 consumes the budget \
+                 exactly as fast as allowed.",
+            ),
+        ];
+        for (k, (name, help)) in families.into_iter().enumerate() {
+            header(out, name, "gauge", help);
+            for (endpoint, window, values) in &rows {
+                sample(
                     out,
-                    "sgla_slo_burn_rate{{endpoint=\"{}\",window=\"{}\"}} {burn}",
-                    s.name, w.name
+                    name,
+                    &[("endpoint", endpoint), ("window", window)],
+                    values[k],
                 );
             }
         }
@@ -486,19 +271,47 @@ fn rate_to_ppm(rate: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
 
-    fn tracker(p99_us: u64, error_rate: f64) -> SloTracker {
+    /// A tracker plus the endpoint records whose windows it judges.
+    struct Rig {
+        slo: SloTracker,
+        metrics: MetricsRegistry,
+    }
+
+    impl Rig {
+        fn record(&self, endpoint: &str, now_secs: u64, latency_us: u64, ok: bool) {
+            let slow = self.slo.is_slow(latency_us);
+            self.metrics
+                .record(endpoint, now_secs, latency_us, ok, slow);
+        }
+
+        fn snapshot(&self, now_secs: u64) -> Vec<EndpointSloSnapshot> {
+            self.metrics.slo_snapshot(now_secs)
+        }
+
+        fn evaluate(&self, now_secs: u64) -> (HealthStatus, Vec<String>) {
+            self.slo.evaluate(&self.snapshot(now_secs))
+        }
+    }
+
+    fn tracker(p99_us: u64, error_rate: f64) -> Rig {
         // 12s/60s/120s windows: slices of 1s/5s/10s.
-        SloTracker::new(&[12, 60, 120], p99_us, error_rate)
+        Rig {
+            slo: SloTracker::new(p99_us, error_rate),
+            metrics: MetricsRegistry::new(&[12, 60, 120]),
+        }
     }
 
     #[test]
     fn objectives_are_live_tunable() {
-        let t = tracker(0, 0.0);
+        let t = SloTracker::new(0, 0.0);
         assert_eq!(t.objective_p99_us(), 0);
+        assert!(!t.is_slow(1_000_000));
         t.set_objective_p99_us(5000);
         t.set_objective_error_rate(0.05);
         assert_eq!(t.objective_p99_us(), 5000);
+        assert!(t.is_slow(5001) && !t.is_slow(5000));
         assert!((t.objective_error_rate() - 0.05).abs() < 1e-9);
     }
 
@@ -512,10 +325,10 @@ mod tests {
         let snap = t.snapshot(5);
         let topk = snap.iter().find(|s| s.name == "topk").unwrap();
         let w = &topk.windows[0];
-        assert_eq!(w.requests, 101);
+        assert_eq!(w.requests(), 101);
         assert_eq!(w.errors, 10);
         assert_eq!(w.slow, 1);
-        assert!(w.p99_us() >= 64.0);
+        assert!(w.hist.quantile(0.99) >= 64.0);
         assert!((w.error_rate() - 10.0 / 101.0).abs() < 1e-9);
     }
 
@@ -599,7 +412,7 @@ mod tests {
             t.record("topk", 2, 100, true);
         }
         let mut page = String::new();
-        t.render_prometheus(2, &mut page);
+        t.slo.render_prometheus(&t.snapshot(2), &mut page);
         crate::metrics::validate_prometheus(&page).unwrap();
         assert!(page.contains("sgla_slo_objective_p99_us 1000"));
         assert!(page.contains("sgla_slo_p99_us{endpoint=\"topk\",window=\"12s\"}"));

@@ -11,11 +11,8 @@
 //! kernels built on them keep that contract too: the randomized SVD
 //! ([`crate::svd::rsvd`]) computes every product as per-row sums (no
 //! per-thread partials), so it, and the NetMF embedding built on it,
-//! give the same bits at every thread count.
-//!
-//! The pre-pool implementation (fresh `std::thread::scope` per region) is
-//! preserved under the `scoped-baseline` feature as [`scoped`] so the
-//! kernel benchmark can quantify the spawn overhead it removes.
+//! give the same bits at every thread count. The sequential kernels
+//! remain the oracle the kernel benchmark checks the pooled ones against.
 
 use crate::pool::WorkerPool;
 
@@ -87,68 +84,6 @@ pub fn default_threads() -> usize {
             .unwrap_or(1)
             .min(16)
     })
-}
-
-/// The pre-pool scoped-thread implementations, kept only so the kernel
-/// benchmark can measure the spawn overhead the pool removes. Not used
-/// by any library code path.
-#[cfg(feature = "scoped-baseline")]
-pub mod scoped {
-    use crate::CsrMatrix;
-
-    /// Splits `data` into `threads` contiguous chunks and runs
-    /// `f(start, chunk)` on each from a freshly spawned scoped thread
-    /// (the pre-pool implementation: one spawn/join cycle per chunk per
-    /// call).
-    pub fn par_chunks_mut<T: Send, F>(data: &mut [T], threads: usize, f: F)
-    where
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let n = data.len();
-        if n == 0 {
-            return;
-        }
-        let threads = threads.clamp(1, n);
-        if threads == 1 {
-            f(0, data);
-            return;
-        }
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = data;
-            let mut start = 0usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                let fref = &f;
-                scope.spawn(move || fref(start, head));
-                start += take;
-                rest = tail;
-            }
-        });
-    }
-
-    /// `y ← A x` with scoped-thread row blocks, spawning threads on
-    /// every call regardless of size (benchmark baseline — the library
-    /// path is [`CsrMatrix::matvec_parallel`]).
-    pub fn matvec_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) {
-        debug_assert_eq!(x.len(), a.ncols());
-        debug_assert_eq!(y.len(), a.nrows());
-        if threads <= 1 {
-            a.matvec(x, y);
-            return;
-        }
-        par_chunks_mut(y, threads, |start, chunk| {
-            for (off, yr) in chunk.iter_mut().enumerate() {
-                let r = start + off;
-                let mut acc = 0.0;
-                for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                    acc += v * x[c];
-                }
-                *yr = acc;
-            }
-        });
-    }
 }
 
 #[cfg(test)]
