@@ -21,8 +21,8 @@
 
 use mvag_data::json::Value;
 use sgla_serve::{
-    Artifact, EngineConfig, HttpClient, IvfConfig, QueryEngine, RouterConfig, ServeBackend, Server,
-    ServerConfig, ShardRouter, TrainConfig,
+    Artifact, EngineConfig, HttpClient, IvfConfig, QueryBackend, QueryEngine, RouterConfig,
+    ServeBackend, Server, ServerConfig, ShardEngine, ShardRouter, TrainConfig,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -1079,20 +1079,15 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
     let mut approx: Option<ApproxPhase> = None;
     let mut approx_server_stats = Value::Null;
     if config.index {
-        let engine_approx = Arc::new(
-            QueryEngine::new(
-                artifact.clone(),
-                EngineConfig {
-                    index: Some(IvfConfig {
-                        nlist: config.nlist,
-                        seed: config.seed,
-                    }),
-                    ..EngineConfig::default()
-                },
-            )
-            .map_err(|e| e.to_string())?,
-        );
-        let index = engine_approx.index().expect("index was configured");
+        let index = artifact
+            .build_ivf(&IvfConfig {
+                nlist: config.nlist,
+                seed: config.seed,
+            })
+            .map_err(|e| e.to_string())?;
+        let shard = ShardEngine::owned(artifact.clone(), None, Some(index.clone()), None)
+            .map_err(|e| e.to_string())?;
+        let engine_approx = Arc::new(QueryEngine::pinned(shard, EngineConfig::default()));
         let nlist = index.nlist();
         let nprobe = if config.nprobe == 0 {
             index.default_nprobe()

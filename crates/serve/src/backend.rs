@@ -2,15 +2,21 @@
 //!
 //! [`QueryBackend`] is the narrow interface between the transport
 //! layer ([`crate::http`], [`crate::batch`]) and whatever answers
-//! queries behind it: a single in-memory [`QueryEngine`] for
-//! monolithic artifacts, or a [`crate::router::ShardRouter`] fronting
-//! many row-range shard engines. The HTTP server and the micro-batcher
-//! are written against `Arc<dyn QueryBackend>`, so sharded serving is
-//! a deployment choice, not a different server.
+//! queries behind it. It has two implementations: the query front end
+//! [`crate::router::ShardRouter`] (also named [`crate::QueryEngine`]),
+//! which serves a monolithic artifact as one pinned shard and a
+//! sharded layout as many lazily-loaded ones, and
+//! [`crate::swap::HotSwapBackend`], which delegates to a replaceable
+//! front end. The HTTP server and the micro-batcher are written
+//! against `Arc<dyn QueryBackend>`.
+//!
+//! Each query is declared once, in its costed form; the plain forms
+//! are provided wrappers that drop the cost. Cost accounting never
+//! perturbs results: both forms run the same code.
 
 use crate::artifact::ArtifactMeta;
 use crate::cost::QueryCost;
-use crate::engine::{ApproxQuery, ClusterInfo, Neighbor, QueryEngine};
+use crate::engine::{ApproxQuery, ClusterInfo, Neighbor};
 use crate::store::StoreMemory;
 use crate::Result;
 
@@ -23,8 +29,8 @@ use crate::Result;
 pub struct IndexStats {
     /// Whether approximate top-k is available on this backend.
     pub enabled: bool,
-    /// Inverted lists of the attached index (per shard, for routers;
-    /// 0 when disabled).
+    /// Inverted lists of the attached index (per shard; 0 when
+    /// disabled).
     pub nlist: usize,
     /// Approximate top-k queries answered.
     pub approx_queries: u64,
@@ -49,185 +55,80 @@ pub trait QueryBackend: Send + Sync {
     /// Learned view weights `w*` (reported by `/artifact`).
     fn weights(&self) -> Vec<f64>;
 
-    /// Cluster assignment and centroid distance for one node.
+    /// Cluster assignment and centroid distance for one node, plus the
+    /// lookup's cost profile.
     ///
     /// # Errors
-    /// [`crate::ServeError::InvalidQuery`] for out-of-range nodes.
-    fn cluster_of(&self, node: usize) -> Result<ClusterInfo>;
+    /// [`crate::ServeError::InvalidQuery`] for out-of-range nodes,
+    /// [`crate::ServeError::NotFound`] for deleted ones.
+    fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost);
 
-    /// Answers many `(node, k)` top-k queries; results in query order,
-    /// failed queries carry their individual error.
-    fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>>;
+    /// Answers many `(node, k)` top-k queries, plus the cost profile of
+    /// the whole pass. Results are in query order; a failed query
+    /// carries its own error.
+    fn top_k_batch_costed(
+        &self,
+        queries: &[(usize, usize)],
+    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost);
 
-    /// Answers many `(node, k, nprobe)` *approximate* top-k queries
-    /// via an IVF index (`nprobe = 0` = index default). Backends
-    /// without an index reject each query individually.
-    fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        queries
-            .iter()
-            .map(|_| Err(crate::engine::no_index_error()))
-            .collect()
-    }
-
-    /// Counters of the approximate-index machinery (disabled/zero by
-    /// default).
-    fn index_stats(&self) -> IndexStats {
-        IndexStats::default()
-    }
+    /// Answers many `(node, k, nprobe)` *approximate* top-k queries via
+    /// an IVF index (`nprobe = 0` = index default), plus the cost
+    /// profile of the pass. Backends without an index reject each
+    /// query individually.
+    fn top_k_batch_approx_costed(
+        &self,
+        queries: &[ApproxQuery],
+    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost);
 
     /// Embedding rows for a batch of nodes (whole batch rejected on
-    /// any invalid id).
-    ///
-    /// # Errors
-    /// [`crate::ServeError::InvalidQuery`] if any node is out of range.
-    fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>>;
+    /// any invalid id), plus the batch's cost profile.
+    fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost);
+
+    /// Counters of the approximate-index machinery.
+    fn index_stats(&self) -> IndexStats;
 
     /// `(hits, misses)` of the backend's top-k result cache.
     fn cache_stats(&self) -> (u64, u64);
 
     /// How many row-range shards back this backend (1 = monolithic).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    fn shard_count(&self) -> usize;
 
     /// How many shards are currently resident in memory.
-    fn resident_shards(&self) -> usize {
-        1
-    }
+    fn resident_shards(&self) -> usize;
 
     /// How many rows are tombstoned (deleted but not yet compacted)
-    /// across the backend. 0 for backends that predate deletions.
-    fn tombstone_count(&self) -> usize {
-        0
-    }
+    /// across the backend.
+    fn tombstone_count(&self) -> usize;
 
     /// Memory accounting of the backend's embedding stores: heap bytes
     /// pinned vs mapped (page-cache reclaimable) bytes, the store kind
     /// per shard slot, and how the residency budget is enforced.
     /// Reported by `/stats` and the `sgla_store_*` gauges.
-    fn store_memory(&self) -> StoreMemory {
-        StoreMemory::default()
-    }
+    fn store_memory(&self) -> StoreMemory;
 
-    /// [`Self::cluster_of`] plus a cost profile of the lookup. The
-    /// answer is exactly what `cluster_of` returns — cost accounting
-    /// must never perturb results. The default wraps the plain call
-    /// with shard-shape bookkeeping only; engines and routers override
-    /// it with real counters.
-    fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = self.shard_count() as u64;
-        cost.shards_resident = self.resident_shards() as u64;
-        (self.cluster_of(node), cost)
-    }
-
-    /// [`Self::top_k_batch`] plus a cost profile of the whole pass.
-    fn top_k_batch_costed(
-        &self,
-        queries: &[(usize, usize)],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = self.shard_count() as u64;
-        cost.shards_resident = self.resident_shards() as u64;
-        cost.cache_misses = queries.len() as u64;
-        (self.top_k_batch(queries), cost)
-    }
-
-    /// [`Self::top_k_batch_approx`] plus a cost profile of the pass.
-    fn top_k_batch_approx_costed(
-        &self,
-        queries: &[ApproxQuery],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::ivf();
-        cost.shards_touched = self.shard_count() as u64;
-        cost.shards_resident = self.resident_shards() as u64;
-        cost.cache_misses = queries.len() as u64;
-        (self.top_k_batch_approx(queries), cost)
-    }
-
-    /// [`Self::embed_batch`] plus a cost profile of the batch.
-    fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = self.shard_count() as u64;
-        cost.shards_resident = self.resident_shards() as u64;
-        cost.rows_scanned = nodes.len() as u64;
-        (self.embed_batch(nodes), cost)
-    }
-}
-
-impl QueryBackend for QueryEngine {
-    fn meta(&self) -> ArtifactMeta {
-        self.artifact().meta.clone()
-    }
-
-    fn weights(&self) -> Vec<f64> {
-        self.artifact().weights.clone()
-    }
-
+    /// [`Self::cluster_of_costed`] without the cost.
+    ///
+    /// # Errors
+    /// See [`Self::cluster_of_costed`].
     fn cluster_of(&self, node: usize) -> Result<ClusterInfo> {
-        QueryEngine::cluster_of(self, node)
+        self.cluster_of_costed(node).0
     }
 
+    /// [`Self::top_k_batch_costed`] without the cost.
     fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>> {
-        QueryEngine::top_k_batch(self, queries)
+        self.top_k_batch_costed(queries).0
     }
 
+    /// [`Self::top_k_batch_approx_costed`] without the cost.
     fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        QueryEngine::top_k_batch_approx(self, queries)
+        self.top_k_batch_approx_costed(queries).0
     }
 
-    fn index_stats(&self) -> IndexStats {
-        QueryEngine::index_stats(self)
-    }
-
+    /// [`Self::embed_batch_costed`] without the cost.
+    ///
+    /// # Errors
+    /// [`crate::ServeError::InvalidQuery`] if any node is out of range.
     fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>> {
-        QueryEngine::embed_batch(self, nodes)
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        QueryEngine::cache_stats(self)
-    }
-
-    fn tombstone_count(&self) -> usize {
-        self.artifact().tombstone_count()
-    }
-
-    fn store_memory(&self) -> StoreMemory {
-        StoreMemory {
-            owned_bytes: self.store().owned_bytes(),
-            mapped_bytes: self.store().mapped_bytes(),
-            stores: vec![self.store().kind().to_string()],
-            resident_hint: "none".to_string(),
-        }
-    }
-
-    fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = 1;
-        cost.shards_resident = 1;
-        cost.rows_scanned = 1;
-        (QueryEngine::cluster_of(self, node), cost)
-    }
-
-    fn top_k_batch_costed(
-        &self,
-        queries: &[(usize, usize)],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        QueryEngine::top_k_batch_costed(self, queries)
-    }
-
-    fn top_k_batch_approx_costed(
-        &self,
-        queries: &[ApproxQuery],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        QueryEngine::top_k_batch_approx_costed(self, queries)
-    }
-
-    fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = 1;
-        cost.shards_resident = 1;
-        cost.rows_scanned = nodes.len() as u64;
-        (QueryEngine::embed_batch(self, nodes), cost)
+        self.embed_batch_costed(nodes).0
     }
 }

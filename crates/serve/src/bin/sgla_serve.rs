@@ -38,7 +38,7 @@
 use mvag_graph::generators::{random_append_delta, AppendConfig};
 use sgla_serve::store::MmapMode;
 use sgla_serve::{
-    Artifact, BackendLoader, EngineConfig, IvfConfig, IvfIndex, QueryBackend, QueryEngine,
+    is_layout_path, Artifact, BackendLoader, EngineConfig, IvfConfig, IvfIndex, QueryBackend,
     RouterConfig, Server, ServerConfig, ShardRouter, TrainConfig,
 };
 use std::path::{Path, PathBuf};
@@ -315,24 +315,6 @@ fn train(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Is `path` a sharded layout (a directory with a manifest, or the
-/// manifest file itself) rather than a single artifact file? Files are
-/// decided by content, not extension: a monolithic artifact starts
-/// with the binary `SGLA` magic, a manifest is JSON text — so an
-/// artifact trained to a `.json` name still loads as an artifact.
-fn is_sharded_path(path: &Path) -> bool {
-    if path.is_dir() {
-        return true;
-    }
-    use std::io::Read;
-    let mut head = [0u8; 4];
-    match std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head)) {
-        Ok(()) => head != *b"SGLA",
-        // Unreadable/short files: let Artifact::load produce the error.
-        Err(_) => false,
-    }
-}
-
 fn print_shard_table(manifest: &mvag_data::ShardManifest) {
     for s in &manifest.shards {
         println!(
@@ -348,7 +330,7 @@ fn info(args: &[String]) -> Result<(), String> {
         .get("artifact")
         .ok_or("info needs --artifact <file>")?;
     let path = Path::new(path);
-    if is_sharded_path(path) {
+    if is_layout_path(path) {
         let router = ShardRouter::open(path, RouterConfig::default()).map_err(|e| e.to_string())?;
         let manifest = router.manifest();
         println!(
@@ -412,128 +394,35 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the serving backend for `path` with the given configs —
-/// used both at startup and on every `POST /reload` (the loader
-/// re-reads the files from disk, so a hot-swap picks up whatever
-/// `sgla-serve update` wrote there).
+/// Builds the serving backend for `path` (a monolithic file or a
+/// sharded layout) — used both at startup and on every `POST /reload`
+/// (the loader re-reads the files from disk, so a hot-swap picks up
+/// whatever `sgla-serve update` wrote there).
 fn load_backend(
     path: &Path,
-    engine_config: &EngineConfig,
-    max_resident: usize,
-    mmap: MmapMode,
+    config: &RouterConfig,
     quiet: bool,
 ) -> Result<Arc<dyn QueryBackend>, sgla_serve::ServeError> {
-    if is_sharded_path(path) {
-        let router_config = RouterConfig {
-            // --cache sizes the router's merged-answer cache here (the
-            // per-shard engine caches are disabled by the router).
-            cache_capacity: engine_config.cache_capacity,
-            engine: engine_config.clone(),
-            max_resident,
-            mmap,
-        };
-        let router = ShardRouter::open(path, router_config)?;
-        if !quiet {
-            println!(
-                "loaded sharded {} (n = {}, k = {}, dim = {}, {} shards{})",
-                router.meta().dataset,
-                router.meta().n,
-                router.meta().k,
-                router.meta().dim,
-                router.manifest().shards.len(),
-                if QueryBackend::index_stats(&router).enabled {
-                    ", ivf index"
-                } else {
-                    ""
-                }
-            );
-        }
-        Ok(Arc::new(router))
-    } else {
-        let sidecar = Artifact::index_sidecar_path(path);
-        let sidecar_index = if sidecar.is_file() {
-            Some(
-                IvfIndex::load(&sidecar)
-                    .map_err(|e| sgla_serve::ServeError::Corrupt(e.to_string()))?,
-            )
-        } else {
-            None
-        };
-        if !quiet {
-            if let Some(index) = &sidecar_index {
-                println!(
-                    "loaded index {} (ivf, nlist={})",
-                    sidecar.display(),
-                    index.nlist()
-                );
+    let front = ShardRouter::open(path, config.clone())?;
+    if !quiet {
+        let meta = front.meta();
+        println!(
+            "loaded {} (n = {}, k = {}, dim = {}, {} shard(s) {}, {} update(s){})",
+            meta.dataset,
+            meta.n,
+            meta.k,
+            meta.dim,
+            front.shard_count(),
+            front.store_memory().stores.join("/"),
+            meta.update_count,
+            if front.index_stats().enabled {
+                ", ivf index"
+            } else {
+                ""
             }
-        }
-        // Mapped open first under auto/on: the engine borrows rows
-        // from the page cache instead of decoding the whole file.
-        // Training an index needs the owned path; under auto that and
-        // any pre-v5 file silently fall back below.
-        if mmap != MmapMode::Off {
-            let attempt = sgla_serve::store::open_mapped(path).and_then(|mapped| {
-                // Leave `index` in the config when no sidecar exists:
-                // from_mapped rejects the train request, routing it to
-                // the owned fallback.
-                let config = if sidecar_index.is_some() {
-                    EngineConfig {
-                        index: None,
-                        ..engine_config.clone()
-                    }
-                } else {
-                    engine_config.clone()
-                };
-                QueryEngine::from_mapped(mapped, config, sidecar_index.clone())
-            });
-            match (attempt, mmap) {
-                (Ok(engine), _) => {
-                    if !quiet {
-                        println!(
-                            "loaded {} memory-mapped (n = {}, k = {}, dim = {}, {} update(s))",
-                            engine.artifact().meta.dataset,
-                            engine.artifact().meta.n,
-                            engine.artifact().meta.k,
-                            engine.artifact().meta.dim,
-                            engine.artifact().meta.update_count
-                        );
-                    }
-                    return Ok(Arc::new(engine));
-                }
-                (Err(e), MmapMode::On) => {
-                    return Err(sgla_serve::ServeError::InvalidArgument(format!(
-                        "cannot serve memory-mapped (--mmap on): {e}"
-                    )))
-                }
-                (Err(_), _) => {} // auto: owned fallback
-            }
-        }
-        let (artifact, norms) = Artifact::load_with_norms(path)?;
-        if !quiet {
-            println!(
-                "loaded {} (n = {}, k = {}, dim = {}, {} update(s))",
-                artifact.meta.dataset,
-                artifact.meta.n,
-                artifact.meta.k,
-                artifact.meta.dim,
-                artifact.meta.update_count
-            );
-        }
-        let engine = if let Some(index) = sidecar_index {
-            let engine_config = EngineConfig {
-                index: None,
-                ..engine_config.clone()
-            };
-            QueryEngine::with_index_and_norms(artifact, engine_config, index, norms)?
-        } else {
-            if engine_config.index.is_some() && !quiet {
-                println!("building ivf index (no sidecar found; see train --index ivf)");
-            }
-            QueryEngine::new_with_norms(artifact, engine_config.clone(), norms)?
-        };
-        Ok(Arc::new(engine))
+        );
     }
+    Ok(Arc::new(front))
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
@@ -542,19 +431,21 @@ fn serve(args: &[String]) -> Result<(), String> {
         .get("artifact")
         .ok_or("serve needs --artifact <file>")?;
     let path = PathBuf::from(path);
-    let engine_config = EngineConfig {
+    let config = RouterConfig {
+        engine: EngineConfig {
+            // With --index ivf the backend builds an index at startup
+            // wherever no persisted sidecar exists; sidecars always load.
+            index: flags.parse_index()?,
+            ..EngineConfig::default()
+        },
         cache_capacity: flags.parse_num("cache", 4096)?,
-        // With --index ivf the backend builds an index at startup
-        // wherever no persisted sidecar exists; sidecars always load.
-        index: flags.parse_index()?,
-        ..EngineConfig::default()
+        max_resident: flags.parse_num("max-resident", 0)?,
+        mmap: flags
+            .get("mmap")
+            .map(str::parse)
+            .transpose()?
+            .unwrap_or(MmapMode::Auto),
     };
-    let max_resident: usize = flags.parse_num("max-resident", 0)?;
-    let mmap: MmapMode = flags
-        .get("mmap")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(MmapMode::Auto);
     let auto_compact: f64 = flags.parse_num("auto-compact", 0.0)?;
     if !(0.0..=1.0).contains(&auto_compact) {
         return Err(format!(
@@ -597,7 +488,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         if auto_compact > 0.0 {
             maybe_auto_compact(&path, auto_compact);
         }
-        load_backend(&path, &engine_config, max_resident, mmap, quiet)
+        load_backend(&path, &config, quiet)
     });
     let server = Server::start_reloadable(loader, &server_config).map_err(|e| e.to_string())?;
     println!("serving on http://{}", server.local_addr());
@@ -621,7 +512,7 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// compaction must never take the server down.
 fn maybe_auto_compact(path: &Path, threshold: f64) {
     let result = (|| -> Result<Option<sgla_serve::CompactionStats>, String> {
-        let (dead, n) = if is_sharded_path(path) {
+        let (dead, n) = if is_layout_path(path) {
             let manifest_path = if path.is_dir() {
                 path.join(Artifact::MANIFEST_FILE)
             } else {
@@ -638,7 +529,7 @@ fn maybe_auto_compact(path: &Path, threshold: f64) {
         if n == 0 || (dead as f64) < threshold * n as f64 {
             return Ok(None);
         }
-        let stats = if is_sharded_path(path) {
+        let stats = if is_layout_path(path) {
             sgla_serve::compact_sharded(path, &mut mvag_data::FsWriter)
         } else {
             sgla_serve::compact_monolithic(path, path, &mut mvag_data::FsWriter)
@@ -694,7 +585,7 @@ fn compact(args: &[String]) -> Result<(), String> {
             .get("artifact")
             .ok_or("compact needs --artifact <file|shard dir>")?,
     );
-    let stats = if is_sharded_path(&path) {
+    let stats = if is_layout_path(&path) {
         if flags.get("out").is_some() {
             return Err("sharded layouts compact in place; --out applies to single files".into());
         }
@@ -755,7 +646,7 @@ fn update(args: &[String]) -> Result<(), String> {
             .get("artifact")
             .ok_or("update needs --artifact <file>")?,
     );
-    if is_sharded_path(&artifact_path) {
+    if is_layout_path(&artifact_path) {
         return update_sharded_in_place(&flags, &artifact_path);
     }
     let artifact = Artifact::load(&artifact_path).map_err(|e| e.to_string())?;

@@ -1030,6 +1030,7 @@ fn most_frequent_live_label(a: &Artifact) -> usize {
 mod tests {
     use super::*;
     use crate::artifact::TrainConfig;
+    use crate::backend::QueryBackend;
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::router::{RouterConfig, ShardRouter};
     use mvag_data::FsWriter;

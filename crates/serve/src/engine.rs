@@ -1,40 +1,32 @@
-//! The in-memory query engine over a loaded [`Artifact`].
+//! The shard scanner: query-side state of one artifact's rows.
 //!
-//! Answers the three serving queries:
+//! A [`ShardEngine`] holds everything a query reads from one artifact
+//! (a full artifact or a row-range shard): the embedding rows and
+//! their norms ([`EmbeddingStore`], heap-owned or memory-mapped), the
+//! cluster labels and centroids, the tombstone mask, and an optional
+//! IVF index. It answers for its own global row range only and keeps
+//! no cache and no counters.
 //!
-//! * [`QueryEngine::cluster_of`] — the trained cluster assignment plus
-//!   the distance to the assigned centroid;
-//! * [`QueryEngine::top_k_similar`] — the `k` nearest nodes by cosine
-//!   similarity in embedding space, via a cache-friendly blocked
-//!   dot-product kernel (reusing `mvag_sparse::vecops`) with an LRU
-//!   result cache in front;
-//! * [`QueryEngine::embed_batch`] — raw embedding rows for a batch of
-//!   nodes.
+//! The one query front end is [`crate::router::ShardRouter`] (also
+//! named [`QueryEngine`]): it owns routing, residency, the result
+//! cache, the counters and the cost profile, and drives one or many
+//! shard engines. A monolithic artifact is served as a front end over
+//! one pinned shard engine, so there is one scan path for both.
 //!
-//! The top-k kernel is batch-first: [`QueryEngine::top_k_batch`] scans
-//! the embedding matrix in row blocks and scores every queued query
+//! The exact top-k kernel is batch-first: the shard scan walks
+//! the rows in blocks of [`BLOCK_ROWS`] and scores every queued query
 //! against the resident block before moving on, so concurrent queries
-//! share memory traffic instead of multiplying it. The HTTP front end
-//! funnels concurrent requests through [`crate::batch::Batcher`], which
-//! micro-batches them into exactly this entry point.
-//!
-//! An engine serves whatever row range its artifact covers: a full
-//! artifact behaves exactly as before, while a shard artifact answers
-//! for its global row range only — [`QueryEngine::top_k_for_query`]
-//! additionally scores an *external* query vector against the local
-//! rows, which is how [`crate::router::ShardRouter`] fans one query
-//! out across many shard engines.
+//! share memory traffic instead of multiplying it.
 
 use crate::artifact::Artifact;
-use crate::backend::IndexStats;
-use crate::cost::QueryCost;
-use crate::lru::LruCache;
+use crate::router::ShardRouter;
 use crate::store::{EmbeddingStore, MappedArtifact};
 use crate::{Result, ServeError};
 use mvag_index::{IvfConfig, IvfIndex, IvfSearchStats};
-use mvag_sparse::{parallel, vecops, DenseMatrix};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use mvag_sparse::{vecops, DenseMatrix};
+
+/// Rows per block in the blocked scoring kernel.
+pub const BLOCK_ROWS: usize = 64;
 
 /// One scored neighbour from a top-k query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,33 +48,25 @@ pub struct ClusterInfo {
     pub centroid_dist: f64,
 }
 
-/// Engine tuning knobs.
+/// Tuning knobs of a front end over one artifact, and of each shard
+/// engine of a layout (as [`crate::RouterConfig::engine`]).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker-pool width cap for batch kernels. Defaults to
-    /// `mvag_sparse::parallel::default_threads()` — the same sizing as
-    /// the process-wide compute pool (available parallelism capped at
-    /// 16 per the paper's setup, overridable with the `SGLA_THREADS`
-    /// environment variable), so serving and training never fight over
-    /// an inconsistent thread budget.
-    pub threads: usize,
-    /// Entries in the top-k result LRU cache (0 disables caching).
+    /// Entries in the top-k result LRU cache (0 disables caching) of a
+    /// front end built by [`QueryEngine::new`] or
+    /// [`QueryEngine::from_mapped`]. [`ShardRouter::open`] sizes its
+    /// cache from [`crate::RouterConfig::cache_capacity`] instead.
     pub cache_capacity: usize,
-    /// Rows per block in the blocked scoring kernel.
-    pub block_rows: usize,
-    /// When set, an IVF approximate top-k index is trained over the
-    /// artifact's embedding rows at engine construction (unless a
-    /// pre-built index is attached via [`QueryEngine::with_index`]).
-    /// `None` serves exact-only.
+    /// When set, an IVF approximate top-k index is trained over each
+    /// shard's embedding rows at load, unless a pre-built index (a
+    /// sidecar file) is attached. `None` serves exact-only.
     pub index: Option<IvfConfig>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            threads: parallel::default_threads(),
             cache_capacity: 4096,
-            block_rows: 64,
             index: None,
         }
     }
@@ -92,44 +76,16 @@ impl Default for EngineConfig {
 /// meaning the index's default probe width.
 pub type ApproxQuery = (usize, usize, usize);
 
-/// Cumulative counters of the approximate-index machinery (atomics;
-/// shared-reference updates from the query paths).
-#[derive(Debug, Default)]
-pub(crate) struct IndexCounters {
-    pub(crate) approx_queries: AtomicU64,
-    pub(crate) exact_queries: AtomicU64,
-    pub(crate) lists_scanned: AtomicU64,
-    pub(crate) rows_scanned: AtomicU64,
-}
-
-impl IndexCounters {
-    pub(crate) fn record_search(&self, stats: &IvfSearchStats) {
-        self.lists_scanned
-            .fetch_add(stats.lists_scanned as u64, Ordering::Relaxed);
-        self.rows_scanned
-            .fetch_add(stats.rows_scanned as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, enabled: bool, nlist: usize) -> IndexStats {
-        IndexStats {
-            enabled,
-            nlist,
-            approx_queries: self.approx_queries.load(Ordering::Relaxed),
-            exact_queries: self.exact_queries.load(Ordering::Relaxed),
-            lists_scanned: self.lists_scanned.load(Ordering::Relaxed),
-            rows_scanned: self.rows_scanned.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// In-memory index over one artifact (full or a row-range shard).
+/// The query front end over a single artifact: a
+/// [`ShardRouter`] over one pinned shard. The name is kept so that
+/// code serving one artifact reads naturally (and for the benchmark
+/// harness, which constructs it by this name).
 ///
-/// All node ids in the query API are *global*: a shard engine answers
-/// for nodes in its artifact's `[row_start, row_end)` and rejects the
-/// rest with [`ServeError::InvalidQuery`].
+/// All node ids in the query API are global. Queries go through
+/// [`crate::QueryBackend`].
 ///
 /// ```
-/// use sgla_serve::{Artifact, EngineConfig, QueryEngine, TrainConfig};
+/// use sgla_serve::{Artifact, EngineConfig, QueryBackend, QueryEngine, TrainConfig};
 ///
 /// let mvag = mvag_data::toy_mvag(40, 2, 7);
 /// let mut config = TrainConfig::default();
@@ -141,11 +97,17 @@ impl IndexCounters {
 /// assert!(info.cluster < 2);
 /// let neighbors = engine.top_k_similar(3, 5).unwrap();
 /// assert_eq!(neighbors.len(), 5);
+/// assert_eq!(engine.shard_count(), 1);
 /// ```
+pub type QueryEngine = ShardRouter;
+
+/// Query-side state of one artifact's rows (full or a row-range
+/// shard). Node ids are global: the engine answers for
+/// `[row_start, row_end)` of its artifact and rejects the rest.
 #[derive(Debug)]
-pub struct QueryEngine {
+pub struct ShardEngine {
     /// Query-side state. The embedding matrix lives in `store`, not
-    /// here: [`QueryEngine::artifact`] returns it with an *empty*
+    /// here: [`ShardEngine::artifact`] returns it with an *empty*
     /// `embedding` field regardless of backing.
     artifact: Artifact,
     /// The embedding rows and their norms — heap-owned or borrowed
@@ -154,127 +116,78 @@ pub struct QueryEngine {
     /// Tombstone mask over local rows; empty when the artifact has no
     /// tombstones (the common case — keeps the hot loops branch-cheap).
     dead: Vec<bool>,
-    cache: Mutex<LruCache<(usize, usize), Vec<Neighbor>>>,
-    config: EngineConfig,
     /// Optional IVF index for approximate top-k over the local rows.
     index: Option<IvfIndex>,
-    counters: IndexCounters,
 }
 
-impl QueryEngine {
-    /// Builds the engine (validates the artifact, precomputes norms).
-    /// With [`EngineConfig::index`] set, an IVF index is trained over
-    /// the artifact's embedding rows here.
-    ///
-    /// # Errors
-    /// [`ServeError::Corrupt`] if the artifact is inconsistent;
-    /// [`ServeError::InvalidArgument`] if index training fails.
-    pub fn new(artifact: Artifact, config: EngineConfig) -> Result<Self> {
-        Self::new_with_norms(artifact, config, None)
-    }
-
-    /// [`QueryEngine::new`], reusing per-row norms persisted alongside
-    /// the artifact (the v5 norms section via
-    /// [`Artifact::load_with_norms`]) instead of recomputing them with
-    /// an O(rows × dim) pass over the embedding.
-    ///
-    /// # Errors
-    /// See [`QueryEngine::new`].
-    pub fn new_with_norms(
-        artifact: Artifact,
-        config: EngineConfig,
-        norms: Option<Vec<f64>>,
-    ) -> Result<Self> {
-        let index = match &config.index {
-            Some(ivf) => Some(artifact.build_ivf(ivf)?),
-            None => None,
-        };
-        Self::assemble_owned(artifact, config, index, norms)
-    }
-
-    /// Builds the engine around a pre-built (typically loaded from a
-    /// sidecar file) IVF index instead of training one, verifying the
-    /// index covers exactly this artifact's rows.
+impl ShardEngine {
+    /// Builds a shard engine over a decoded artifact: validates it,
+    /// reuses `norms` persisted alongside it (the v5 norms section)
+    /// instead of recomputing them, and attaches `index` — or, when
+    /// none is given and `train` is set, trains one over the rows.
     ///
     /// # Errors
     /// [`ServeError::Corrupt`] if the artifact is inconsistent or the
-    /// index does not match it.
-    pub fn with_index(artifact: Artifact, config: EngineConfig, index: IvfIndex) -> Result<Self> {
-        Self::with_index_and_norms(artifact, config, index, None)
-    }
-
-    /// [`QueryEngine::with_index`] with optional persisted norms (see
-    /// [`QueryEngine::new_with_norms`]).
-    ///
-    /// # Errors
-    /// See [`QueryEngine::with_index`].
-    pub fn with_index_and_norms(
-        artifact: Artifact,
-        config: EngineConfig,
-        index: IvfIndex,
+    /// index does not cover its rows; [`ServeError::InvalidArgument`]
+    /// if index training fails.
+    pub fn owned(
+        mut artifact: Artifact,
         norms: Option<Vec<f64>>,
+        index: Option<IvfIndex>,
+        train: Option<&IvfConfig>,
     ) -> Result<Self> {
-        let m = &artifact.meta;
-        index
-            .check_compatible(m.n, m.dim, m.row_start, m.row_end)
-            .map_err(|e| ServeError::Corrupt(format!("index does not match artifact: {e}")))?;
-        Self::assemble_owned(artifact, config, Some(index), norms)
+        artifact.validate()?;
+        let index = match (index, train) {
+            (Some(index), _) => Some(index),
+            (None, Some(ivf)) => Some(artifact.build_ivf(ivf)?),
+            (None, None) => None,
+        };
+        let embedding = std::mem::replace(&mut artifact.embedding, DenseMatrix::zeros(0, 0));
+        Self::assemble(artifact, EmbeddingStore::owned(embedding, norms), index)
     }
 
-    /// Builds the engine over a memory-mapped artifact (see
+    /// Builds a shard engine over a memory-mapped artifact (see
     /// [`crate::store::open_mapped`]): rows are scored straight out of
-    /// the page cache, never copied to the heap. A sidecar IVF index
+    /// the page cache, never copied to the heap. A pre-built `index`
     /// may be attached; *training* one is impossible here (it would
     /// need the whole embedding resident, defeating the map), so
-    /// [`EngineConfig::index`] combined with `index: None` is rejected
-    /// and the caller decides whether to fall back to an owned load.
+    /// `train` without `index` is rejected and the caller decides
+    /// whether to fall back to an owned load.
     ///
     /// # Errors
     /// [`ServeError::InvalidArgument`] when index training is
-    /// requested; [`ServeError::Corrupt`] when a sidecar index does
-    /// not match the artifact.
-    pub fn from_mapped(
+    /// requested; [`ServeError::Corrupt`] when the index does not match
+    /// the artifact.
+    pub fn mapped(
         mapped: MappedArtifact,
-        config: EngineConfig,
         index: Option<IvfIndex>,
+        train: Option<&IvfConfig>,
     ) -> Result<Self> {
-        let MappedArtifact { artifact, store } = mapped;
-        if config.index.is_some() && index.is_none() {
+        if train.is_some() && index.is_none() {
             return Err(ServeError::InvalidArgument(
                 "cannot train an IVF index over a memory-mapped artifact; \
                  attach a sidecar index or serve it owned"
                     .into(),
             ));
         }
-        if let Some(ix) = &index {
-            let m = &artifact.meta;
-            ix.check_compatible(m.n, m.dim, m.row_start, m.row_end)
-                .map_err(|e| ServeError::Corrupt(format!("index does not match artifact: {e}")))?;
-        }
         // No artifact.validate() here: it would reject the placeholder
         // embedding/laplacian. open_mapped already validated every
         // invariant the query paths rely on.
-        Ok(Self::assemble(artifact, store, config, index))
-    }
-
-    fn assemble_owned(
-        mut artifact: Artifact,
-        config: EngineConfig,
-        index: Option<IvfIndex>,
-        norms: Option<Vec<f64>>,
-    ) -> Result<Self> {
-        artifact.validate()?;
-        let embedding = std::mem::replace(&mut artifact.embedding, DenseMatrix::zeros(0, 0));
-        let store = EmbeddingStore::owned(embedding, norms);
-        Ok(Self::assemble(artifact, store, config, index))
+        let MappedArtifact { artifact, store } = mapped;
+        Self::assemble(artifact, store, index)
     }
 
     fn assemble(
         artifact: Artifact,
         store: EmbeddingStore,
-        config: EngineConfig,
         index: Option<IvfIndex>,
-    ) -> Self {
+    ) -> Result<Self> {
+        if let Some(index) = &index {
+            let m = &artifact.meta;
+            index
+                .check_compatible(m.n, m.dim, m.row_start, m.row_end)
+                .map_err(|e| ServeError::Corrupt(format!("index does not match artifact: {e}")))?;
+        }
         let dead = if artifact.tombstone_count() == 0 {
             Vec::new()
         } else {
@@ -284,26 +197,23 @@ impl QueryEngine {
             }
             mask
         };
-        QueryEngine {
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+        Ok(ShardEngine {
             artifact,
             store,
             dead,
-            config,
             index,
-            counters: IndexCounters::default(),
-        }
+        })
     }
 
-    /// The query-side artifact state being served (meta, weights,
-    /// labels, centroids, tombstones). The `embedding` field is empty
-    /// — rows live in [`QueryEngine::store`] — and for mapped engines
-    /// the `laplacian` is an empty placeholder too.
+    /// The query-side artifact state (meta, weights, labels,
+    /// centroids, tombstones). The `embedding` field is empty — rows
+    /// live in [`ShardEngine::store`] — and for mapped engines the
+    /// `laplacian` is an empty placeholder too.
     pub fn artifact(&self) -> &Artifact {
         &self.artifact
     }
 
-    /// The embedding row store (owned or mapped) backing this engine.
+    /// The embedding row store (owned or mapped).
     pub fn store(&self) -> &EmbeddingStore {
         &self.store
     }
@@ -313,20 +223,9 @@ impl QueryEngine {
         self.index.as_ref()
     }
 
-    /// Snapshot of the exact/approx query mix and index scan work.
-    pub fn index_stats(&self) -> IndexStats {
-        self.counters.snapshot(
-            self.index.is_some(),
-            self.index.as_ref().map_or(0, IvfIndex::nlist),
-        )
-    }
-
-    /// `(hits, misses)` of the top-k result cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().expect("cache lock").stats()
-    }
-
-    fn check_node(&self, node: usize) -> Result<()> {
+    /// Checks that `node` is a live row of this shard and returns its
+    /// local row index.
+    fn local(&self, node: usize) -> Result<usize> {
         let m = &self.artifact.meta;
         if node >= m.n {
             return Err(ServeError::InvalidQuery(format!(
@@ -345,7 +244,7 @@ impl QueryEngine {
                 "node {node} has been deleted (tombstoned; pending compaction)"
             )));
         }
-        Ok(())
+        Ok(node - m.row_start)
     }
 
     /// True when local row `row` is tombstoned (empty mask = no dead
@@ -355,19 +254,13 @@ impl QueryEngine {
         self.dead.get(row).copied().unwrap_or(false)
     }
 
-    /// Local row index of a (checked) global node id.
-    fn local(&self, node: usize) -> usize {
-        node - self.artifact.meta.row_start
-    }
-
     /// Cluster assignment and centroid distance for one node.
     ///
     /// # Errors
-    /// [`ServeError::InvalidQuery`] for nodes outside this engine's
-    /// row range.
+    /// [`ServeError::InvalidQuery`] for nodes outside this shard's
+    /// rows; [`ServeError::NotFound`] for tombstoned ones.
     pub fn cluster_of(&self, node: usize) -> Result<ClusterInfo> {
-        self.check_node(node)?;
-        let local = self.local(node);
+        let local = self.local(node)?;
         let cluster = self.artifact.labels[local];
         let centroid_dist =
             vecops::dist2(self.store.row(local), self.artifact.centroids.row(cluster)).sqrt();
@@ -378,365 +271,51 @@ impl QueryEngine {
         })
     }
 
-    /// Embedding rows for a batch of nodes.
+    /// Embedding rows for a batch of nodes (the whole batch is
+    /// rejected on any invalid id, matching HTTP semantics).
     ///
     /// # Errors
-    /// [`ServeError::InvalidQuery`] if any node is out of range (the
-    /// whole batch is rejected, matching HTTP semantics).
+    /// See [`ShardEngine::cluster_of`].
     pub fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>> {
-        for &node in nodes {
-            self.check_node(node)?;
-        }
-        Ok(nodes
+        let locals = nodes
             .iter()
-            .map(|&n| self.store.row(self.local(n)).to_vec())
+            .map(|&node| self.local(node))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(locals
+            .into_iter()
+            .map(|l| self.store.row(l).to_vec())
             .collect())
     }
 
     /// The embedding row and its precomputed Euclidean norm for one
-    /// node — the query vector a [`crate::router::ShardRouter`] hands
-    /// to every other shard when fanning a top-k query out.
+    /// node — the query vector the front end hands to every shard
+    /// when it fans a top-k query out.
     ///
     /// # Errors
-    /// [`ServeError::InvalidQuery`] for nodes outside this engine's
-    /// row range.
+    /// See [`ShardEngine::cluster_of`].
     pub fn query_vector(&self, node: usize) -> Result<(Vec<f64>, f64)> {
-        self.check_node(node)?;
-        let local = self.local(node);
+        let local = self.local(node)?;
         Ok((self.store.row(local).to_vec(), self.store.norms()[local]))
     }
 
-    /// The `k` most similar nodes to `node` (cosine in embedding
-    /// space), best first; ties break toward the smaller node id. The
-    /// query node itself is excluded. `k` is clamped to `n - 1`.
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] for out-of-range nodes or `k == 0`.
-    pub fn top_k_similar(&self, node: usize, k: usize) -> Result<Vec<Neighbor>> {
-        // Single query = batch of one: validation, clamping, and the
-        // cache protocol live in exactly one place.
-        self.top_k_batch(&[(node, k)]).pop().expect("one query")
-    }
-
-    /// Answers many top-k queries in one pass over the embedding
-    /// matrix (the micro-batching entry point). Results are in query
-    /// order; failed queries carry their individual error.
-    pub fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>> {
-        self.top_k_batch_costed(queries).0
-    }
-
-    /// [`QueryEngine::top_k_batch`] plus the cost profile of the pass:
-    /// cache hit/miss split, rows the blocked kernel scored, and the
-    /// tombstones it skipped. The answers are computed by the same
-    /// code path, so EXPLAIN can never perturb them.
-    pub fn top_k_batch_costed(
-        &self,
-        queries: &[(usize, usize)],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = 1;
-        cost.shards_resident = 1;
-        // Partition into cache hits, invalid queries, and real work.
-        let n = self.artifact.meta.n;
-        let mut answers: Vec<Option<Result<Vec<Neighbor>>>> = Vec::with_capacity(queries.len());
-        let mut work: Vec<(usize, usize)> = Vec::new(); // (query index, slot)
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            for (qi, &(node, k)) in queries.iter().enumerate() {
-                if let Err(e) = self.check_node(node) {
-                    answers.push(Some(Err(e)));
-                    continue;
-                }
-                if k == 0 {
-                    answers.push(Some(Err(ServeError::InvalidQuery(
-                        "k must be at least 1".into(),
-                    ))));
-                    continue;
-                }
-                let k = k.min(n - 1);
-                self.counters.exact_queries.fetch_add(1, Ordering::Relaxed);
-                if let Some(hit) = cache.get(&(node, k)) {
-                    cost.cache_hits += 1;
-                    answers.push(Some(Ok(hit.clone())));
-                } else {
-                    cost.cache_misses += 1;
-                    answers.push(None);
-                    work.push((qi, jobs.len()));
-                    jobs.push((node, k));
-                }
-            }
-        }
-        if !jobs.is_empty() {
-            let rows_scanned = (jobs.len() * self.artifact.meta.rows().saturating_sub(1)) as u64;
-            cost.rows_scanned = rows_scanned;
-            cost.tombstones_masked = (jobs.len() * self.artifact.tombstone_count()) as u64;
-            let mut span = mvag_obs::span("serve.scan");
-            span.counter("queries", jobs.len() as u64);
-            span.counter("rows_scanned", rows_scanned);
-            let results = self.scan_block_topk(&jobs);
-            drop(span);
-            let mut cache = self.cache.lock().expect("cache lock");
-            for ((qi, slot), result) in work.into_iter().zip(results) {
-                cache.insert(jobs[slot], result.clone());
-                answers[qi] = Some(Ok(result));
-            }
-        }
-        let answers = answers
-            .into_iter()
-            .map(|a| a.expect("all slots filled"))
-            .collect();
-        (answers, cost)
-    }
-
-    /// Approximate top-k via the attached IVF index: only the `nprobe`
-    /// best-matching inverted lists are scanned (`nprobe = 0` uses the
-    /// index default, `nprobe >= nlist` is bit-identical to
-    /// [`QueryEngine::top_k_similar`]). Same validation, clamping, and
-    /// ordering as the exact path; results are **not** cached (they
-    /// are cheap and parameterized by `nprobe`).
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] for out-of-range nodes, `k == 0`,
-    /// or when no index is attached.
-    pub fn top_k_approx(&self, node: usize, k: usize, nprobe: usize) -> Result<Vec<Neighbor>> {
-        self.top_k_batch_approx(&[(node, k, nprobe)])
-            .pop()
-            .expect("one query")
-    }
-
-    /// Answers many approximate top-k queries (the approx half of the
-    /// micro-batching entry point). Queries shard across the worker
-    /// pool like the exact batch path; each query scans only its
-    /// probed lists.
-    pub fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        self.top_k_batch_approx_costed(queries).0
-    }
-
-    /// [`QueryEngine::top_k_batch_approx`] plus the cost profile of
-    /// the pass: probed lists, candidate rows scored, and the dead
-    /// hits the tombstone filter removed.
-    pub fn top_k_batch_approx_costed(
-        &self,
-        queries: &[ApproxQuery],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::ivf();
-        cost.shards_touched = 1;
-        cost.shards_resident = 1;
-        let n = self.artifact.meta.n;
-        let Some(index) = &self.index else {
-            let answers = queries.iter().map(|_| Err(no_index_error())).collect();
-            return (answers, cost);
-        };
-        let mut answers: Vec<Option<Result<Vec<Neighbor>>>> = Vec::with_capacity(queries.len());
-        let mut work: Vec<usize> = Vec::new(); // answer slot per job
-        let mut jobs: Vec<ApproxQuery> = Vec::new();
-        for &(node, k, nprobe) in queries {
-            if let Err(e) = self.check_node(node) {
-                answers.push(Some(Err(e)));
-                continue;
-            }
-            if k == 0 {
-                answers.push(Some(Err(ServeError::InvalidQuery(
-                    "k must be at least 1".into(),
-                ))));
-                continue;
-            }
-            self.counters.approx_queries.fetch_add(1, Ordering::Relaxed);
-            work.push(answers.len());
-            answers.push(None);
-            jobs.push((node, k.min(n - 1), nprobe));
-        }
-        if !jobs.is_empty() {
-            // Approx answers are not cached (cheap, nprobe-parameterized).
-            cost.cache_misses = jobs.len() as u64;
-            let mut probe_span = mvag_obs::span("serve.ivf_probe");
-            probe_span.counter("queries", jobs.len() as u64);
-            // One concurrent query parallelizes over its probed lists;
-            // a batch parallelizes across queries instead (same policy
-            // as the exact kernel: the batch is the unit of work).
-            // Tombstoned rows are still resident in the index, so each
-            // query over-fetches by the tombstone count and the dead
-            // hits are filtered out below.
-            let dead_n = self.artifact.tombstone_count();
-            let search = |&(node, k, nprobe): &ApproxQuery| {
-                let local = self.local(node);
-                index.search(
-                    &self.store,
-                    self.store.norms(),
-                    self.store.row(local),
-                    self.store.norms()[local],
-                    k + dead_n,
-                    nprobe,
-                    Some(node),
-                    if jobs.len() == 1 {
-                        self.config.threads
-                    } else {
-                        1
-                    },
-                )
-            };
-            let threads = self.config.threads.max(1).min(jobs.len());
-            let results = if threads > 1 && jobs.len() > 1 {
-                parallel::par_map(jobs.len(), threads, |j| search(&jobs[j]))
-            } else {
-                jobs.iter().map(search).collect()
-            };
-            let offset = self.artifact.meta.row_start;
-            for ((slot, &(_, k, _)), (scored, stats)) in work.into_iter().zip(&jobs).zip(results) {
-                self.counters.record_search(&stats);
-                cost.lists_probed += stats.lists_scanned as u64;
-                cost.rows_scanned += stats.rows_scanned as u64;
-                probe_span.counter("lists_scanned", stats.lists_scanned as u64);
-                probe_span.counter("rows_scanned", stats.rows_scanned as u64);
-                cost.tombstones_masked += scored
-                    .iter()
-                    .filter(|s| self.is_dead_local(s.id - offset))
-                    .count() as u64;
-                answers[slot] = Some(Ok(scored
-                    .into_iter()
-                    .filter(|s| !self.is_dead_local(s.id - offset))
-                    .take(k)
-                    .map(|s| Neighbor {
-                        node: s.id,
-                        score: s.score,
-                    })
-                    .collect()));
-            }
-        }
-        let answers = answers
-            .into_iter()
-            .map(|a| a.expect("all slots filled"))
-            .collect();
-        (answers, cost)
-    }
-
-    /// The per-shard half of a fanned-out *approximate* top-k: scores
-    /// an external query vector against this engine's probed lists
-    /// only, returning global ids plus the scan-work accounting (the
-    /// caller merges and aggregates — see
-    /// [`crate::router::ShardRouter`]).
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] when no index is attached.
-    pub fn top_k_for_query_approx(
-        &self,
-        qrow: &[f64],
-        qnorm: f64,
-        k: usize,
-        nprobe: usize,
-        exclude: Option<usize>,
-    ) -> Result<(Vec<Neighbor>, IvfSearchStats)> {
-        let Some(index) = &self.index else {
-            return Err(no_index_error());
-        };
-        let (scored, stats) = index.search(
-            &self.store,
-            self.store.norms(),
-            qrow,
-            qnorm,
-            k + self.artifact.tombstone_count(),
-            nprobe,
-            exclude,
-            1, // the router owns cross-shard parallelism
-        );
-        let offset = self.artifact.meta.row_start;
-        Ok((
-            scored
-                .into_iter()
-                .filter(|s| !self.is_dead_local(s.id - offset))
-                .take(k)
-                .map(|s| Neighbor {
-                    node: s.id,
-                    score: s.score,
-                })
-                .collect(),
-            stats,
-        ))
-    }
-
-    /// The blocked scoring kernel: walks the embedding matrix in
-    /// blocks of [`EngineConfig::block_rows`] rows and scores every
-    /// query against the resident block, so a batch of queries reads
-    /// the matrix once instead of once per query. Queries are sharded
-    /// across the persistent worker pool (no per-batch thread spawns);
-    /// each shard keeps the blocked access pattern.
-    fn scan_block_topk(&self, jobs: &[(usize, usize)]) -> Vec<Vec<Neighbor>> {
-        let threads = self.config.threads.max(1).min(jobs.len().max(1));
-        if threads > 1 && jobs.len() > 1 {
-            let chunk = jobs.len().div_ceil(threads);
-            let shards: Vec<&[(usize, usize)]> = jobs.chunks(chunk).collect();
-            let mut out: Vec<Vec<Neighbor>> = Vec::with_capacity(jobs.len());
-            for mut shard_result in
-                parallel::par_map(shards.len(), shards.len(), |s| self.scan_shard(shards[s]))
-            {
-                out.append(&mut shard_result);
-            }
-            out
-        } else {
-            self.scan_shard(jobs)
-        }
-    }
-
-    fn scan_shard(&self, jobs: &[(usize, usize)]) -> Vec<Vec<Neighbor>> {
-        let vjobs: Vec<VectorJob> = jobs
-            .iter()
-            .map(|&(q, k)| {
-                let local = self.local(q);
-                VectorJob {
-                    qrow: self.store.row(local),
-                    qnorm: self.store.norms()[local],
-                    exclude: Some(q),
-                    k,
-                }
-            })
-            .collect();
-        self.scan_vector_jobs(&vjobs)
-    }
-
-    /// Scores an external query vector against this engine's rows and
-    /// returns its `k` best neighbours (global ids, best first, same
-    /// ordering as [`QueryEngine::top_k_similar`]). `exclude` skips one
-    /// global id — the query node itself when this engine owns it.
-    ///
-    /// This is the per-shard half of a fanned-out top-k: the caller
-    /// (see [`crate::router::ShardRouter`]) merges the per-shard
-    /// answers, so this scan stays sequential and the caller decides
-    /// where the parallelism goes.
-    pub fn top_k_for_query(
-        &self,
-        qrow: &[f64],
-        qnorm: f64,
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Vec<Neighbor> {
-        self.scan_vector_jobs(&[VectorJob {
-            qrow,
-            qnorm,
-            exclude,
-            k,
-        }])
-        .pop()
-        .expect("one job")
-    }
-
-    /// The blocked scan over this engine's local rows. Scores are
-    /// bit-identical to the monolithic path: the same `dot / (norm ·
-    /// norm)` on the same row data, visited in the same ascending row
-    /// order.
+    /// The blocked exact kernel: walks this shard's rows in blocks of
+    /// [`BLOCK_ROWS`] and scores every job against the resident block,
+    /// so a batch reads the rows once instead of once per job. Returns
+    /// each job's best `k` (global ids, best first). Scores are
+    /// `dot / (norm · norm)` on the stored rows, visited in ascending
+    /// row order, so they are bit-identical however the rows are
+    /// sharded and however the jobs are chunked.
     // The row index addresses four parallel structures (global id,
     // tombstone mask, norms, store rows); an iterator rewrite would
     // obscure that they advance in lockstep.
     #[allow(clippy::needless_range_loop)]
-    fn scan_vector_jobs(&self, jobs: &[VectorJob]) -> Vec<Vec<Neighbor>> {
-        let emb = &self.store;
+    pub(crate) fn scan(&self, jobs: &[VectorJob]) -> Vec<Vec<Neighbor>> {
         let norms = self.store.norms();
         let rows = self.artifact.meta.rows();
         let offset = self.artifact.meta.row_start;
-        let block = self.config.block_rows.max(1);
         let mut heaps: Vec<TopKHeap> = jobs.iter().map(|j| TopKHeap::new(j.k)).collect();
-        for block_start in (0..rows).step_by(block) {
-            let block_end = (block_start + block).min(rows);
+        for block_start in (0..rows).step_by(BLOCK_ROWS) {
+            let block_end = (block_start + BLOCK_ROWS).min(rows);
             for (job, heap) in jobs.iter().zip(heaps.iter_mut()) {
                 for row in block_start..block_end {
                     let global = offset + row;
@@ -745,7 +324,7 @@ impl QueryEngine {
                     }
                     let denom = job.qnorm * norms[row];
                     let score = if denom > 1e-300 {
-                        vecops::dot(job.qrow, emb.row(row)) / denom
+                        vecops::dot(job.qrow, self.store.row(row)) / denom
                     } else {
                         0.0
                     };
@@ -758,6 +337,48 @@ impl QueryEngine {
         }
         heaps.into_iter().map(TopKHeap::into_sorted).collect()
     }
+
+    /// The approximate counterpart of [`ShardEngine::scan`] for one
+    /// job: probes only `job.nprobe` of this shard's inverted lists
+    /// (`threads` wide). Tombstoned rows are still resident in the
+    /// index, so the probe over-fetches by the tombstone count and
+    /// filters the dead hits out; the count it dropped is returned
+    /// with the index's scan work.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidQuery`] when no index is attached.
+    pub(crate) fn probe(
+        &self,
+        job: &VectorJob,
+        threads: usize,
+    ) -> Result<(Vec<Neighbor>, IvfSearchStats, u64)> {
+        let Some(index) = &self.index else {
+            return Err(no_index_error());
+        };
+        let (scored, stats) = index.search(
+            &self.store,
+            self.store.norms(),
+            job.qrow,
+            job.qnorm,
+            job.k + self.artifact.tombstone_count(),
+            job.nprobe,
+            job.exclude,
+            threads,
+        );
+        let offset = self.artifact.meta.row_start;
+        let dead = |id: usize| self.is_dead_local(id - offset);
+        let masked = scored.iter().filter(|s| dead(s.id)).count() as u64;
+        let hits = scored
+            .into_iter()
+            .filter(|s| !dead(s.id))
+            .take(job.k)
+            .map(|s| Neighbor {
+                node: s.id,
+                score: s.score,
+            })
+            .collect();
+        Ok((hits, stats, masked))
+    }
 }
 
 /// The error every approx entry point returns when the backend has no
@@ -769,13 +390,15 @@ pub(crate) fn no_index_error() -> ServeError {
     )
 }
 
-/// One scoring job against this engine's rows: an external query
-/// vector, its norm, and an optional global id to skip.
-struct VectorJob<'a> {
-    qrow: &'a [f64],
-    qnorm: f64,
-    exclude: Option<usize>,
-    k: usize,
+/// One scoring job against a shard's rows: an external query vector,
+/// its norm, an optional global id to skip (the query node itself),
+/// the answer size, and the probe width (approximate jobs only).
+pub(crate) struct VectorJob<'a> {
+    pub(crate) qrow: &'a [f64],
+    pub(crate) qnorm: f64,
+    pub(crate) exclude: Option<usize>,
+    pub(crate) k: usize,
+    pub(crate) nprobe: usize,
 }
 
 /// Bounded worst-out collection of the best `k` neighbours under the
@@ -784,7 +407,7 @@ struct VectorJob<'a> {
 /// results can never diverge on ordering): higher score wins; equal
 /// scores prefer the smaller node id (total, deterministic order —
 /// embedding scores are finite by construction). Also used by the
-/// shard router to merge per-shard top-k lists: the order is total on
+/// front end to merge per-shard top-k lists: the order is total on
 /// distinct node ids, so the top-k of a union equals the top-k of the
 /// per-shard top-k's regardless of insertion order.
 #[derive(Debug)]
@@ -832,24 +455,32 @@ impl TopKHeap {
     }
 }
 
+/// The scan battery at one shard: the front end over one pinned
+/// shard against a scalar full-sort reference, plus the shard
+/// engine's own masking and index attachment.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::artifact::TrainConfig;
+    use crate::backend::QueryBackend;
     use mvag_graph::toy::toy_mvag;
 
-    fn engine() -> QueryEngine {
+    fn trained() -> Artifact {
         let mvag = toy_mvag(80, 2, 7);
         let mut config = TrainConfig::default();
         config.embed.dim = 8;
-        let artifact = Artifact::train(&mvag, &config).unwrap();
-        QueryEngine::new(artifact, EngineConfig::default()).unwrap()
+        Artifact::train(&mvag, &config).unwrap()
     }
 
-    /// Reference top-k: full sort of all cosine scores.
-    fn brute_force(e: &QueryEngine, q: usize, k: usize) -> Vec<Neighbor> {
-        let emb = e.store();
-        let mut all: Vec<Neighbor> = (0..e.artifact().meta.n)
+    fn engine() -> QueryEngine {
+        QueryEngine::new(trained(), EngineConfig::default()).unwrap()
+    }
+
+    /// Reference top-k: full sort of all cosine scores, one scalar
+    /// `cosine` per pair.
+    fn brute_force(artifact: &Artifact, q: usize, k: usize) -> Vec<Neighbor> {
+        let emb = &artifact.embedding;
+        let mut all: Vec<Neighbor> = (0..artifact.meta.n)
             .filter(|&i| i != q)
             .map(|i| Neighbor {
                 node: i,
@@ -868,15 +499,24 @@ mod tests {
 
     #[test]
     fn topk_matches_brute_force() {
-        let e = engine();
+        let artifact = trained();
+        let e = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
         for q in [0usize, 7, 41, 79] {
             let got = e.top_k_similar(q, 10).unwrap();
-            let want = brute_force(&e, q, 10);
+            let want = brute_force(&artifact, q, 10);
             assert_eq!(got.len(), 10);
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.node, w.node, "query {q}");
                 assert!((g.score - w.score).abs() < 1e-12);
             }
+        }
+        // A whole batch (chunked across the pool) agrees too.
+        let queries: Vec<(usize, usize)> = (0..80).map(|q| (q, 10)).collect();
+        for (res, &(q, k)) in e.top_k_batch(&queries).iter().zip(&queries) {
+            let want = brute_force(&artifact, q, k);
+            let got: Vec<usize> = res.as_ref().unwrap().iter().map(|n| n.node).collect();
+            let want: Vec<usize> = want.iter().map(|n| n.node).collect();
+            assert_eq!(got, want, "query {q}");
         }
     }
 
@@ -907,7 +547,7 @@ mod tests {
     fn k_clamped_to_population() {
         let e = engine();
         let all = e.top_k_similar(3, 10_000).unwrap();
-        assert_eq!(all.len(), e.artifact().meta.n - 1);
+        assert_eq!(all.len(), e.meta().n - 1);
         // Scores are non-increasing.
         for w in all.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -916,10 +556,11 @@ mod tests {
 
     #[test]
     fn cluster_of_matches_labels() {
-        let e = engine();
-        for node in 0..e.artifact().meta.n {
+        let artifact = trained();
+        let e = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
+        for node in 0..artifact.meta.n {
             let info = e.cluster_of(node).unwrap();
-            assert_eq!(info.cluster, e.artifact().labels[node]);
+            assert_eq!(info.cluster, artifact.labels[node]);
             assert!(info.centroid_dist.is_finite());
         }
         assert!(e.cluster_of(99_999).is_err());
@@ -927,20 +568,17 @@ mod tests {
 
     #[test]
     fn embed_batch_returns_rows() {
-        let e = engine();
+        let artifact = trained();
+        let e = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
         let rows = e.embed_batch(&[0, 5, 9]).unwrap();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1], e.store().row(5).to_vec());
+        assert_eq!(rows[1], artifact.embedding.row(5).to_vec());
         assert!(e.embed_batch(&[0, 99_999]).is_err());
     }
 
     fn engine_with_index(nlist: usize) -> QueryEngine {
-        let mvag = toy_mvag(80, 2, 7);
-        let mut config = TrainConfig::default();
-        config.embed.dim = 8;
-        let artifact = Artifact::train(&mvag, &config).unwrap();
         QueryEngine::new(
-            artifact,
+            trained(),
             EngineConfig {
                 index: Some(mvag_index::IvfConfig { nlist, seed: 5 }),
                 ..EngineConfig::default()
@@ -952,9 +590,10 @@ mod tests {
     #[test]
     fn approx_full_probe_bit_identical_to_exact() {
         let e = engine_with_index(6);
+        assert_eq!(e.index_stats().nlist, 6);
         for q in [0usize, 7, 41, 79] {
             let exact = e.top_k_similar(q, 10).unwrap();
-            let approx = e.top_k_approx(q, 10, e.index().unwrap().nlist()).unwrap();
+            let approx = e.top_k_approx(q, 10, 6).unwrap();
             assert_eq!(exact.len(), approx.len());
             for (x, a) in exact.iter().zip(&approx) {
                 assert_eq!(x.node, a.node, "query {q}");
@@ -1009,35 +648,38 @@ mod tests {
 
     #[test]
     fn prebuilt_index_attaches_and_mismatches_are_rejected() {
-        let mvag = toy_mvag(80, 2, 7);
-        let mut config = TrainConfig::default();
-        config.embed.dim = 8;
-        let artifact = Artifact::train(&mvag, &config).unwrap();
+        let artifact = trained();
         let index = artifact
             .build_ivf(&mvag_index::IvfConfig { nlist: 5, seed: 1 })
             .unwrap();
-        let e = QueryEngine::with_index(artifact.clone(), EngineConfig::default(), index.clone())
-            .unwrap();
+        let e = ShardEngine::owned(artifact.clone(), None, Some(index.clone()), None).unwrap();
         assert_eq!(e.index().unwrap().nlist(), 5);
+        assert_eq!(
+            QueryEngine::pinned(e, EngineConfig::default())
+                .index_stats()
+                .nlist,
+            5
+        );
         // An index over a different row range must be rejected.
         let shard = artifact.shard(0, 40).unwrap();
         assert!(matches!(
-            QueryEngine::with_index(shard, EngineConfig::default(), index),
+            ShardEngine::owned(shard, None, Some(index), None),
             Err(ServeError::Corrupt(_))
         ));
     }
 
     #[test]
     fn tombstoned_nodes_are_masked() {
-        let mvag = toy_mvag(80, 2, 7);
-        let mut config = TrainConfig::default();
-        config.embed.dim = 8;
-        let mut artifact = Artifact::train(&mvag, &config).unwrap();
+        let mut artifact = trained();
         artifact.tombstones = vec![5, 41];
+        let shard = ShardEngine::owned(artifact.clone(), None, None, None).unwrap();
         let e = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
         // Dead ids answer 404-class NotFound on every query path.
         assert!(matches!(e.cluster_of(5), Err(ServeError::NotFound(_))));
-        assert!(matches!(e.query_vector(41), Err(ServeError::NotFound(_))));
+        assert!(matches!(
+            shard.query_vector(41),
+            Err(ServeError::NotFound(_))
+        ));
         assert!(matches!(
             e.embed_batch(&[0, 41]),
             Err(ServeError::NotFound(_))

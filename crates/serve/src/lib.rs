@@ -15,17 +15,18 @@
 //!   with typed errors. [`Artifact::save_sharded`] writes the v2
 //!   row-range-sharded layout (shard files + JSON manifest) for
 //!   artifacts too large for one host's memory.
-//! * [`engine`] — the in-memory [`QueryEngine`]: `cluster_of`,
-//!   `top_k_similar` (cache-friendly blocked dot-product kernel with
-//!   an LRU result cache), `embed_batch`, plus the approximate
-//!   `top_k_approx` path over an optional `mvag_index` IVF index
-//!   (sublinear probes; the exact scan stays the verification oracle);
+//! * [`engine`] — the [`ShardEngine`] scanner over one artifact's
+//!   rows: `cluster_of`, `embed_batch`, the cache-friendly blocked
+//!   exact top-k kernel, and approximate probes over an optional
+//!   `mvag_index` IVF index (sublinear probes; the exact scan stays
+//!   the verification oracle). It keeps no cache and no counters.
+//! * [`router`] — the [`ShardRouter`], the one query front end: it
+//!   serves a monolithic artifact as one pinned shard (the
+//!   [`QueryEngine`] alias) and a sharded layout as lazily-loaded
+//!   shards, and owns routing, residency, the LRU result cache, the
+//!   counters, the bit-identical merge and the cost profile;
 //!   [`batch`] micro-batches concurrent top-k queries into shared
 //!   kernel passes.
-//! * [`router`] — the [`ShardRouter`]: the same query API over a
-//!   sharded layout, routing point queries by row range and fanning
-//!   top-k out across lazily-loaded shard engines with a
-//!   bit-identical merge.
 //! * [`http`] — a dependency-light HTTP/1.1 JSON [`Server`] with two
 //!   transports selected by [`ServerConfig::backend`]: the classic
 //!   thread-per-connection pool (`threaded`, the correctness oracle)
@@ -35,8 +36,8 @@
 //!   path ([`parser`] + routing), keep-alive, graceful shutdown, and
 //!   per-endpoint latency/QPS counters ([`metrics`]); [`client`] is
 //!   the matching minimal client used by tests and the serve
-//!   benchmark. The server runs over any [`QueryBackend`] —
-//!   monolithic engine or shard router.
+//!   benchmark. The server runs over any [`QueryBackend`]: the front
+//!   end, or a [`HotSwapBackend`] that replaces it on reload.
 //!
 //! ```
 //! use sgla_serve::prelude::*;
@@ -95,11 +96,11 @@ pub use compact::{
     append_sharded, compact_monolithic, compact_sharded, AppendStats, CompactionStats,
 };
 pub use cost::QueryCost;
-pub use engine::{ApproxQuery, ClusterInfo, EngineConfig, Neighbor, QueryEngine};
+pub use engine::{ApproxQuery, ClusterInfo, EngineConfig, Neighbor, QueryEngine, ShardEngine};
 pub use error::ServeError;
 pub use http::{BackendLoader, ServeBackend, Server, ServerConfig};
 pub use mvag_index::{IvfConfig, IvfIndex};
-pub use router::{RouterConfig, ShardRouter};
+pub use router::{is_layout_path, RouterConfig, ShardRouter};
 pub use slo::{HealthStatus, SloTracker};
 pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use store::{EmbeddingStore, MappedArtifact, StoreMemory};

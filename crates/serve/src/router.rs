@@ -1,29 +1,46 @@
-//! The shard router: one query front end over many row-range shards.
+//! The query front end: one implementation of the serving API over
+//! one or many row-range shards.
 //!
-//! A [`ShardRouter`] opens a sharded artifact layout (shard files plus
-//! the [`ShardManifest`] written by
-//! [`Artifact::save_sharded`](crate::Artifact::save_sharded)) and
-//! serves the same query API as a monolithic [`QueryEngine`]:
+//! A [`ShardRouter`] owns everything between a query and the shard
+//! scanners ([`ShardEngine`]): routing, residency, the top-k result
+//! cache, the per-query validation, the cross-shard merge, the
+//! index counters and the cost profile. It serves three sources the
+//! same way:
+//!
+//! * a **sharded layout** (shard files plus the [`ShardManifest`]
+//!   written by [`Artifact::save_sharded`](crate::Artifact::save_sharded)),
+//!   opened by [`ShardRouter::open`] with shards loading lazily;
+//! * a **monolithic artifact file**, also opened by
+//!   [`ShardRouter::open`], served as one pinned shard;
+//! * an **in-memory artifact** ([`ShardRouter::new`],
+//!   [`ShardRouter::from_mapped`]), likewise one pinned shard. The
+//!   alias [`QueryEngine`](crate::QueryEngine) names this use.
+//!
+//! Queries:
 //!
 //! * **`cluster_of` / `embed_batch`** are *routed*: the manifest maps
 //!   each global node id to its owning shard by row range, and only
 //!   that shard answers.
-//! * **`top_k_similar` / `top_k_batch`** are *fanned out*: the owning
-//!   shard supplies the query's embedding row, every shard scores it
-//!   against its local rows, and the per-shard top-k lists are merged
-//!   under the same total order (score desc, node id asc) the
-//!   monolithic kernel uses — so the merged answer is **bit-identical**
-//!   to scanning one big embedding matrix (proptested in
+//! * **top-k** is *fanned out*: the owning shard supplies the query's
+//!   embedding row, every shard scores it against its local rows, and
+//!   the per-shard top-k lists are merged under the total order
+//!   (score desc, node id asc) — so the answer is **bit-identical**
+//!   however the rows are sharded (proptested in
 //!   `tests/shard_equivalence.rs`).
 //! * **Residency** is lazy: shards load from disk on first touch
 //!   (verified against the manifest's per-file size and CRC-32).
 //!   With [`RouterConfig::max_resident`] `> 0` the router keeps at
 //!   most that many shards in memory, evicting the least-recently-used
 //!   — a host can then serve an artifact larger than its RAM, paying a
-//!   reload on cold shards. When all shards are resident, top-k fan-out
-//!   runs in parallel on the persistent `mvag_sparse` worker pool; in
-//!   memory-capped mode it streams shard by shard so residency stays
-//!   bounded during the scan.
+//!   reload on cold shards.
+//!
+//! One scan policy covers every shard count: each shard's job list is
+//! split into `ceil(threads / shards)` chunks and every (shard, chunk)
+//! task runs the blocked multi-job kernel on the persistent
+//! `mvag_sparse` worker pool. At one shard that splits the batch
+//! across the pool; with as many shards as threads it is one task per
+//! shard. In memory-capped mode the tasks stream shard by shard so
+//! residency stays bounded during the scan.
 //!
 //! ```
 //! use sgla_serve::prelude::*;
@@ -40,7 +57,7 @@
 //! let engine = QueryEngine::new(artifact, EngineConfig::default()).unwrap();
 //! let router = ShardRouter::open(&dir, RouterConfig::default()).unwrap();
 //!
-//! // The sharded answer is bit-identical to the monolithic one.
+//! // The sharded answer is bit-identical to the one-shard one.
 //! let direct = engine.top_k_similar(11, 5).unwrap();
 //! let routed = router.top_k_similar(11, 5).unwrap();
 //! assert_eq!(direct, routed);
@@ -51,12 +68,14 @@ use crate::artifact::{Artifact, ArtifactMeta, FORMAT_VERSION, FORMAT_VERSION_V2}
 use crate::backend::{IndexStats, QueryBackend};
 use crate::cost::QueryCost;
 use crate::engine::{
-    ApproxQuery, ClusterInfo, EngineConfig, IndexCounters, Neighbor, QueryEngine, TopKHeap,
+    no_index_error, ApproxQuery, ClusterInfo, EngineConfig, Neighbor, ShardEngine, TopKHeap,
+    VectorJob,
 };
 use crate::lru::LruCache;
-use crate::store::{MmapMode, StoreMemory};
+use crate::store::{MappedArtifact, MmapMode, StoreMemory};
 use crate::{Result, ServeError};
-use mvag_data::manifest::ShardManifest;
+use mvag_data::manifest::{ShardEntry, ShardManifest};
+use mvag_data::IdMap;
 use mvag_index::IvfIndex;
 use mvag_sparse::parallel;
 use std::path::{Path, PathBuf};
@@ -66,9 +85,10 @@ use std::sync::{Arc, Mutex};
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Per-shard engine configuration. Shard engines are created with
-    /// their own result caches disabled (the router caches merged
-    /// answers instead); `threads` sizes the top-k fan-out.
+    /// Per-shard engine configuration: whether a shard without an
+    /// index sidecar trains an IVF index at load. Its
+    /// `cache_capacity` is not read here (see
+    /// [`RouterConfig::cache_capacity`]).
     pub engine: EngineConfig,
     /// Maximum *heap-owned* shards resident in memory at once; `0`
     /// means unbounded (every shard stays resident after first touch,
@@ -80,9 +100,9 @@ pub struct RouterConfig {
     /// `madvise(MADV_DONTNEED)` *hint* instead of an eviction (see
     /// [`RouterConfig::mmap`]).
     pub max_resident: usize,
-    /// Entries in the router's merged top-k LRU cache (0 disables).
+    /// Entries in the merged top-k LRU cache (0 disables).
     pub cache_capacity: usize,
-    /// Whether shard files are served memory-mapped (v5 layouts on
+    /// Whether shard files are served memory-mapped (v5 files on
     /// supported platforms) or heap-owned. Defaults to
     /// [`MmapMode::Off`]; `sgla-serve serve` passes
     /// [`MmapMode::Auto`].
@@ -100,20 +120,75 @@ impl Default for RouterConfig {
     }
 }
 
+/// Is `path` a sharded layout (a directory with a manifest, or the
+/// manifest file itself) rather than a single artifact file? Files are
+/// decided by content, not extension: a monolithic artifact starts
+/// with the binary `SGLA` magic, a manifest is JSON text — so an
+/// artifact trained to a `.json` name still loads as an artifact.
+pub fn is_layout_path(path: &Path) -> bool {
+    if path.is_dir() {
+        return true;
+    }
+    use std::io::Read;
+    let mut head = [0u8; 4];
+    match std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head)) {
+        Ok(()) => head != *b"SGLA",
+        // Unreadable/short files: let Artifact::load produce the error.
+        Err(_) => false,
+    }
+}
+
+/// Where shards load from. A front end over an in-memory artifact has
+/// no source: its one shard is pinned at construction.
+enum Source {
+    /// A sharded layout: shard `i` is the manifest's `i`-th file under
+    /// `dir`, with its index sidecar beside it. The id-map sidecar the
+    /// manifest references rebases files a compaction skipped.
+    Layout { dir: PathBuf, id_map: Option<IdMap> },
+    /// One monolithic artifact file (index sidecar `<file>.ivf`).
+    File(PathBuf),
+}
+
 /// One shard slot: the lazily-loaded engine plus an LRU tick.
 struct Slot {
-    engine: Option<Arc<QueryEngine>>,
+    engine: Option<Arc<ShardEngine>>,
     last_used: u64,
+}
+
+/// Cumulative exact/approx counters (per-shard counters would be lost
+/// on eviction, so they live in the front end).
+#[derive(Debug, Default)]
+struct IndexCounters {
+    approx_queries: AtomicU64,
+    exact_queries: AtomicU64,
+    lists_scanned: AtomicU64,
+    rows_scanned: AtomicU64,
+}
+
+/// One admitted top-k query: its answer slot, node, owning shard,
+/// clamped `k`, and probe width (approximate queries only).
+struct Job {
+    slot: usize,
+    node: usize,
+    owner: usize,
+    k: usize,
+    nprobe: usize,
+}
+
+/// What one shard contributed to one job: its best hits and the scan
+/// work behind them.
+struct Partial {
+    hits: Vec<Neighbor>,
+    lists: u64,
+    rows: u64,
+    masked: u64,
 }
 
 /// Routes and fans queries out across row-range shard engines.
 pub struct ShardRouter {
     manifest: ShardManifest,
-    dir: PathBuf,
-    /// Id-map sidecar referenced by the manifest, loaded once at open:
-    /// shard files a compaction skipped are rebased through it on
-    /// every (re)load.
-    id_map: Option<mvag_data::IdMap>,
+    /// `None` for an in-memory artifact (one pinned shard).
+    source: Option<Source>,
     meta: ArtifactMeta,
     weights: Vec<f64>,
     config: RouterConfig,
@@ -125,8 +200,6 @@ pub struct ShardRouter {
     /// `madvise(MADV_DONTNEED)` hints issued to over-budget mapped
     /// shards (the mapped analogue of `evictions`).
     dontneed_hints: AtomicU64,
-    /// Router-level exact/approx counters (per-shard engine counters
-    /// would be lost on eviction, so fan-out accounting lives here).
     counters: IndexCounters,
     /// Indexes trained at shard load when no sidecar exists
     /// ([`EngineConfig::index`]), kept across evictions: an index is
@@ -152,34 +225,85 @@ impl std::fmt::Debug for ShardRouter {
 }
 
 impl ShardRouter {
-    /// Opens a sharded layout. `path` may be the manifest file itself
-    /// or the directory containing a `manifest.json`. The first shard
-    /// is loaded eagerly to pick up the learned view weights and to
-    /// fail fast on a broken layout; the rest load on first touch.
+    /// Opens an artifact on disk: a sharded layout (`path` is the
+    /// manifest file or the directory containing `manifest.json`) or a
+    /// monolithic artifact file, served as one shard. Shard 0 is
+    /// loaded eagerly to pick up the learned view weights and to fail
+    /// fast on a broken layout; the rest load on first touch.
     ///
     /// # Errors
-    /// I/O failures, [`ServeError::Corrupt`] for a malformed manifest
-    /// or a shard that does not match it.
+    /// I/O failures, [`ServeError::Corrupt`] for a malformed manifest,
+    /// artifact, or a shard that does not match its manifest.
     pub fn open(path: &Path, config: RouterConfig) -> Result<ShardRouter> {
-        let manifest_path = if path.is_dir() {
-            path.join(Artifact::MANIFEST_FILE)
+        let (manifest, source) = if is_layout_path(path) {
+            let (manifest, dir) = crate::compact::open_layout(path)?;
+            if !(FORMAT_VERSION_V2..=FORMAT_VERSION).contains(&manifest.artifact_format_version) {
+                return Err(ServeError::Corrupt(format!(
+                    "manifest references artifact format v{}, this build reads \
+                     v{FORMAT_VERSION_V2} through v{FORMAT_VERSION}",
+                    manifest.artifact_format_version
+                )));
+            }
+            let id_map = crate::compact::load_layout_id_map(&dir, &manifest)?;
+            (manifest, Source::Layout { dir, id_map })
         } else {
-            path.to_path_buf()
+            // Replaced by the file's own one-shard manifest once the
+            // file has loaded.
+            let placeholder = ShardManifest {
+                shards: vec![ShardEntry::default()],
+                ..ShardManifest::default()
+            };
+            (placeholder, Source::File(path.to_path_buf()))
         };
-        let manifest =
-            ShardManifest::load(&manifest_path).map_err(|e| ServeError::Corrupt(e.to_string()))?;
-        if !(FORMAT_VERSION_V2..=FORMAT_VERSION).contains(&manifest.artifact_format_version) {
-            return Err(ServeError::Corrupt(format!(
-                "manifest references artifact format v{}, this build reads v{FORMAT_VERSION_V2} \
-                 through v{FORMAT_VERSION}",
-                manifest.artifact_format_version
-            )));
-        }
-        let dir = manifest_path
-            .parent()
-            .map(Path::to_path_buf)
-            .unwrap_or_else(|| PathBuf::from("."));
-        let id_map = crate::compact::load_layout_id_map(&dir, &manifest)?;
+        let router = Self::assemble(manifest, Some(source), config);
+        let first = router.engine_for(0)?;
+        Ok(router.described_by(&first))
+    }
+
+    /// A front end over one in-memory artifact (trains an IVF index
+    /// over it when [`EngineConfig::index`] is set).
+    ///
+    /// # Errors
+    /// [`ServeError::Corrupt`] if the artifact is inconsistent;
+    /// [`ServeError::InvalidArgument`] if index training fails.
+    pub fn new(artifact: Artifact, config: EngineConfig) -> Result<ShardRouter> {
+        let shard = ShardEngine::owned(artifact, None, None, config.index.as_ref())?;
+        Ok(Self::pinned(shard, config))
+    }
+
+    /// A front end over one memory-mapped artifact (see
+    /// [`crate::store::open_mapped`] and [`ShardEngine::mapped`]),
+    /// with an optional pre-built index.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidArgument`] when [`EngineConfig::index`]
+    /// asks for training without a pre-built index;
+    /// [`ServeError::Corrupt`] when the index does not match.
+    pub fn from_mapped(
+        mapped: MappedArtifact,
+        config: EngineConfig,
+        index: Option<IvfIndex>,
+    ) -> Result<ShardRouter> {
+        let shard = ShardEngine::mapped(mapped, index, config.index.as_ref())?;
+        Ok(Self::pinned(shard, config))
+    }
+
+    /// A front end over one already-built shard engine, pinned for the
+    /// front end's lifetime.
+    pub fn pinned(shard: ShardEngine, config: EngineConfig) -> ShardRouter {
+        let config = RouterConfig {
+            cache_capacity: config.cache_capacity,
+            engine: config,
+            ..RouterConfig::default()
+        };
+        let router = Self::assemble(one_shard_manifest(shard.artifact()), None, config);
+        let shard = Arc::new(shard);
+        router.slots.lock().expect("slot lock")[0].engine = Some(Arc::clone(&shard));
+        router.described_by(&shard)
+    }
+
+    fn assemble(manifest: ShardManifest, source: Option<Source>, config: RouterConfig) -> Self {
+        let shard_count = manifest.shards.len();
         let meta = ArtifactMeta {
             dataset: manifest.dataset.clone(),
             n: manifest.n,
@@ -189,78 +313,71 @@ impl ShardRouter {
             row_start: 0,
             row_end: manifest.n,
             // Lineage is carried in the shard files, not the manifest;
-            // patched in below from shard 0.
+            // patched in from shard 0 by `described_by`.
             parent_seed: manifest.seed,
             update_count: manifest.update_count,
             compaction_count: manifest.compaction_count,
         };
-        let shard_count = manifest.shards.len();
-        let slots = (0..shard_count)
-            .map(|_| Slot {
-                engine: None,
-                last_used: 0,
-            })
-            .collect();
-        let router = ShardRouter {
+        ShardRouter {
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            slots: Mutex::new(
+                (0..shard_count)
+                    .map(|_| Slot {
+                        engine: None,
+                        last_used: 0,
+                    })
+                    .collect(),
+            ),
+            trained_indexes: Mutex::new((0..shard_count).map(|_| None).collect()),
             manifest,
-            dir,
-            id_map,
+            source,
             meta,
             weights: Vec::new(),
             config,
-            slots: Mutex::new(slots),
             clock: AtomicU64::new(1),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             dontneed_hints: AtomicU64::new(0),
             counters: IndexCounters::default(),
-            trained_indexes: Mutex::new((0..shard_count).map(|_| None).collect()),
             index_enabled: false,
             index_nlist: 0,
-        };
-        // Weights and the lineage header are global state carried in
-        // every shard; take them from shard 0 (which this also
-        // validates end to end). The same load reveals whether shards
-        // come with an IVF index.
-        let first = router.engine_for(0)?;
-        let weights = first.artifact().weights.clone();
-        let index_enabled = first.index().is_some();
-        let index_nlist = first.index().map_or(0, IvfIndex::nlist);
-        let meta = ArtifactMeta {
-            parent_seed: first.artifact().meta.parent_seed,
-            // Shard 0 may be stale after an in-place tail append or a
-            // compaction that skipped it; the manifest's counters win
-            // when they are ahead.
-            update_count: first
-                .artifact()
-                .meta
-                .update_count
-                .max(router.meta.update_count),
-            compaction_count: first
-                .artifact()
-                .meta
-                .compaction_count
-                .max(router.meta.compaction_count),
-            ..router.meta.clone()
-        };
-        Ok(ShardRouter {
-            weights,
-            index_enabled,
-            index_nlist,
-            meta,
-            ..router
-        })
+        }
     }
 
-    /// The manifest this router serves.
+    /// Completes construction from shard 0: weights and lineage are
+    /// global state carried in every shard, and shard 0 reveals
+    /// whether shards come with an IVF index. A single artifact's
+    /// metadata and one-shard manifest are its own.
+    fn described_by(self, first: &ShardEngine) -> Self {
+        let a = first.artifact();
+        let (manifest, meta) = if let Some(Source::Layout { .. }) = self.source {
+            let meta = ArtifactMeta {
+                parent_seed: a.meta.parent_seed,
+                // Shard 0 may be stale after an in-place tail append or
+                // a compaction that skipped it; the manifest's counters
+                // win when they are ahead.
+                update_count: a.meta.update_count.max(self.meta.update_count),
+                compaction_count: a.meta.compaction_count.max(self.meta.compaction_count),
+                ..self.meta
+            };
+            (self.manifest, meta)
+        } else {
+            (one_shard_manifest(a), a.meta.clone())
+        };
+        ShardRouter {
+            manifest,
+            meta,
+            weights: a.weights.clone(),
+            index_enabled: first.index().is_some(),
+            index_nlist: first.index().map_or(0, IvfIndex::nlist),
+            ..self
+        }
+    }
+
+    /// The manifest this router serves (a one-entry manifest for a
+    /// single artifact).
     pub fn manifest(&self) -> &ShardManifest {
         &self.manifest
-    }
-
-    /// Metadata of the logical full artifact.
-    pub fn meta(&self) -> &ArtifactMeta {
-        &self.meta
     }
 
     /// `(shard loads, evictions)` since open — observability for the
@@ -278,32 +395,30 @@ impl ShardRouter {
         self.dontneed_hints.load(Ordering::Relaxed)
     }
 
-    /// Aggregated memory accounting across all shard slots (see
-    /// [`QueryBackend::store_memory`]).
-    pub fn store_memory(&self) -> StoreMemory {
-        let slots = self.slots.lock().expect("slot lock");
-        let mut mem = StoreMemory {
-            resident_hint: if self.config.max_resident == 0 {
-                "none"
-            } else if self.config.mmap != MmapMode::Off && crate::store::MMAP_SUPPORTED {
-                "madvise"
-            } else {
-                "evict"
-            }
-            .to_string(),
-            ..StoreMemory::default()
-        };
-        for slot in slots.iter() {
-            match &slot.engine {
-                Some(engine) => {
-                    mem.owned_bytes += engine.store().owned_bytes();
-                    mem.mapped_bytes += engine.store().mapped_bytes();
-                    mem.stores.push(engine.store().kind().to_string());
-                }
-                None => mem.stores.push("-".to_string()),
-            }
-        }
-        mem
+    /// The `k` most similar nodes to `node` (cosine in embedding
+    /// space), best first; ties break toward the smaller node id. The
+    /// query node itself is excluded. `k` is clamped to `n - 1`.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidQuery`] for out-of-range nodes or `k == 0`;
+    /// [`ServeError::NotFound`] for deleted nodes.
+    pub fn top_k_similar(&self, node: usize, k: usize) -> Result<Vec<Neighbor>> {
+        self.top_k_batch(&[(node, k)]).pop().expect("one query")
+    }
+
+    /// The `k` most similar nodes to `node` via per-shard IVF probes
+    /// (`nprobe` lists per shard; `0` = per-shard default,
+    /// `nprobe >= nlist` is bit-identical to
+    /// [`ShardRouter::top_k_similar`]). Approximate answers are not
+    /// cached (cheap, and parameterized by `nprobe`).
+    ///
+    /// # Errors
+    /// As [`ShardRouter::top_k_similar`], and
+    /// [`ServeError::InvalidQuery`] when no index is loaded.
+    pub fn top_k_approx(&self, node: usize, k: usize, nprobe: usize) -> Result<Vec<Neighbor>> {
+        self.top_k_batch_approx(&[(node, k, nprobe)])
+            .pop()
+            .expect("one query")
     }
 
     fn resident_count(&self) -> usize {
@@ -315,10 +430,14 @@ impl ShardRouter {
             .count()
     }
 
+    fn loads_since(&self, before: u64) -> u64 {
+        self.loads.load(Ordering::Relaxed).saturating_sub(before)
+    }
+
     /// Returns the engine for shard `idx`, loading (and possibly
     /// evicting another shard) if needed. The returned `Arc` keeps the
     /// shard alive for the caller even if it is evicted concurrently.
-    fn engine_for(&self, idx: usize) -> Result<Arc<QueryEngine>> {
+    fn engine_for(&self, idx: usize) -> Result<Arc<ShardEngine>> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         {
             let mut slots = self.slots.lock().expect("slot lock");
@@ -394,59 +513,54 @@ impl ShardRouter {
         }
     }
 
-    /// Reads, checksums, decodes, cross-checks, and (for stale files)
-    /// rebases one shard file — the shared
-    /// [`compact::read_shard`](crate::compact) path, so the router and
-    /// the compactor verify shards identically.
-    fn load_shard(&self, idx: usize) -> Result<QueryEngine> {
-        let entry = &self.manifest.shards[idx];
-        let fail =
-            |msg: String| ServeError::Corrupt(format!("shard {idx} ({}): {msg}", entry.file));
-        // Shard engines keep no per-shard result cache: the router
-        // caches merged answers, and per-shard partials are useless on
-        // their own.
-        let engine_config = EngineConfig {
-            cache_capacity: 0,
-            ..self.config.engine.clone()
+    /// Loads shard `idx` — the one load path for layouts and single
+    /// files. A persisted index sidecar (written by `sgla-serve train
+    /// --index ivf`) takes precedence over training one; without a
+    /// sidecar, [`EngineConfig::index`] decides whether the shard
+    /// trains its own at *first* load, and the trained index is kept
+    /// router-side so an evicted shard never retrains on reload. The
+    /// mapped open comes first unless [`RouterConfig::mmap`] is off;
+    /// under [`MmapMode::Auto`] anything it cannot serve (index
+    /// training, stale layout shards pending rebase, pre-v5 files)
+    /// falls back to the owned load, which for layouts is the shared
+    /// checksummed [`compact::read_shard`](crate::compact) path.
+    fn load_shard(&self, idx: usize) -> Result<ShardEngine> {
+        let Some(source) = &self.source else {
+            return Err(ServeError::Server(
+                "an in-memory shard cannot be reloaded".into(),
+            ));
         };
-        // A persisted per-shard index sidecar (written by
-        // `sgla-serve train --index ivf`) takes precedence over
-        // retraining one; without a sidecar, `EngineConfig::index`
-        // decides whether the shard trains its own at *first* load —
-        // the trained index is cached router-side so an evicted shard
-        // never re-runs quantizer training on reload.
-        let index_path = self.dir.join(Artifact::shard_index_file_name(idx));
-        let sidecar = if index_path.is_file() {
+        let (label, sidecar) = match source {
+            Source::Layout { dir, .. } => (
+                format!("shard {idx} ({})", self.manifest.shards[idx].file),
+                dir.join(Artifact::shard_index_file_name(idx)),
+            ),
+            Source::File(path) => (
+                path.display().to_string(),
+                Artifact::index_sidecar_path(path),
+            ),
+        };
+        let fail = |msg: String| ServeError::Corrupt(format!("{label}: {msg}"));
+        let index = if sidecar.is_file() {
             Some(
-                IvfIndex::load(&index_path)
-                    .map_err(|e| fail(format!("index sidecar {}: {e}", index_path.display())))?,
+                IvfIndex::load(&sidecar)
+                    .map_err(|e| fail(format!("index sidecar {}: {e}", sidecar.display())))?,
             )
         } else {
-            None
+            self.trained_indexes.lock().expect("trained index lock")[idx].clone()
         };
-        let cached = || self.trained_indexes.lock().expect("trained index lock")[idx].clone();
+        let train = self.config.engine.index.as_ref();
         if self.config.mmap != MmapMode::Off {
-            // Mapped serving needs a pre-built index (training would
-            // fault every embedding page): a sidecar or a
-            // router-cached one. Stale shards (pending rebase) and
-            // pre-v5 files can't be mapped either; under Auto all of
-            // these fall back to the owned load below.
-            let index = sidecar.clone().or_else(cached);
-            let trainable = self.config.engine.index.is_some() && index.is_none();
-            let attempt = if trainable {
-                Err(ServeError::InvalidArgument(
-                    "index training requires an owned load".into(),
-                ))
-            } else {
-                crate::store::open_shard_mapped(&self.dir, &self.manifest, idx).and_then(|mapped| {
-                    let config = EngineConfig {
-                        index: None,
-                        ..engine_config.clone()
-                    };
-                    QueryEngine::from_mapped(mapped, config, index)
-                })
+            let mapped = match source {
+                Source::Layout { dir, .. } => {
+                    crate::store::open_shard_mapped(dir, &self.manifest, idx)
+                }
+                Source::File(path) => crate::store::open_mapped(path),
             };
-            match (attempt, self.config.mmap) {
+            match (
+                mapped.and_then(|m| ShardEngine::mapped(m, index.clone(), train)),
+                self.config.mmap,
+            ) {
                 (Ok(engine), _) => return Ok(engine),
                 (Err(e), MmapMode::On) => {
                     return Err(fail(format!("cannot serve memory-mapped (--mmap on): {e}")))
@@ -454,459 +568,328 @@ impl ShardRouter {
                 (Err(_), _) => {} // Auto: fall back to the owned path.
             }
         }
-        let (artifact, norms) = crate::compact::read_shard_with_norms(
-            &self.dir,
-            &self.manifest,
-            idx,
-            self.id_map.as_ref(),
-        )?;
-        if let Some(index) = sidecar.or_else(cached) {
-            let engine_config = EngineConfig {
-                index: None,
-                ..engine_config
-            };
-            return QueryEngine::with_index_and_norms(artifact, engine_config, index, norms);
-        }
-        let engine = QueryEngine::new_with_norms(artifact, engine_config, norms)?;
-        if let Some(index) = engine.index() {
+        let (artifact, norms) = match source {
+            Source::Layout { dir, id_map } => {
+                crate::compact::read_shard_with_norms(dir, &self.manifest, idx, id_map.as_ref())?
+            }
+            Source::File(path) => Artifact::load_with_norms(path)?,
+        };
+        let trains = index.is_none();
+        let engine = ShardEngine::owned(artifact, norms, index, train)?;
+        if let (true, Some(index)) = (trains, engine.index()) {
             self.trained_indexes.lock().expect("trained index lock")[idx] = Some(index.clone());
         }
         Ok(engine)
     }
 
-    fn check_node(&self, node: usize) -> Result<usize> {
+    /// The shard owning `node`.
+    fn owner(&self, node: usize) -> Result<usize> {
         self.manifest.shard_of(node).ok_or_else(|| {
             ServeError::InvalidQuery(format!("node {node} out of range (n = {})", self.meta.n))
         })
     }
 
-    /// Cluster assignment and centroid distance for one node, answered
-    /// by the shard owning its row.
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] for out-of-range nodes; shard-load
-    /// failures surface as [`ServeError::Corrupt`] / [`ServeError::Io`].
-    pub fn cluster_of(&self, node: usize) -> Result<ClusterInfo> {
-        let shard = self.check_node(node)?;
-        self.engine_for(shard)?.cluster_of(node)
+    /// Validates one top-k query's node range and `k`; returns the
+    /// owning shard and `k` clamped to `n - 1`. Deleted nodes are
+    /// caught later, by the owning shard, for that query alone.
+    fn admit(&self, node: usize, k: usize) -> Result<(usize, usize)> {
+        let owner = self.owner(node)?;
+        if k == 0 {
+            return Err(ServeError::InvalidQuery("k must be at least 1".into()));
+        }
+        Ok((owner, k.min(self.meta.n - 1)))
     }
 
-    /// [`ShardRouter::cluster_of`] plus the lookup's cost profile:
-    /// whether answering it forced a shard load. The answer is exactly
-    /// what `cluster_of` returns — accounting never perturbs results.
-    pub fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.shards_touched = 1;
-        cost.rows_scanned = 1;
+    /// Runs admitted jobs through the fan-out and fills in the cost
+    /// profile's fan-out shape. A shard-load fault fails every job of
+    /// the batch, keeping the error class; anything narrower (a
+    /// deleted query node) fails only its own job.
+    fn run(&self, jobs: &[Job], approx: bool, cost: &mut QueryCost) -> Vec<Result<Vec<Neighbor>>> {
         let loads_before = self.loads.load(Ordering::Relaxed);
-        let answer = self.cluster_of(node);
-        cost.shards_loaded = self
-            .loads
-            .load(Ordering::Relaxed)
-            .saturating_sub(loads_before);
+        let results = if jobs.is_empty() {
+            Vec::new()
+        } else {
+            cost.shards_touched = self.manifest.shards.len() as u64;
+            match self.fan_out(jobs, approx, cost) {
+                Ok(results) => results,
+                Err(e) => jobs.iter().map(|_| Err(clone_error_class(&e))).collect(),
+            }
+        };
+        cost.shards_loaded = self.loads_since(loads_before);
         cost.shards_resident = self.resident_count() as u64;
-        (answer, cost)
+        results
     }
 
-    /// Embedding rows for a batch of nodes, each fetched from its
-    /// owning shard; the whole batch is rejected if any id is invalid
-    /// (matching [`QueryEngine::embed_batch`] semantics).
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] if any node is out of range.
-    pub fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>> {
-        let mut owners = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            owners.push(self.check_node(node)?);
+    /// Fetches each job's query vector from its owning shard, scores
+    /// the live jobs against every shard, and merges.
+    fn fan_out(
+        &self,
+        jobs: &[Job],
+        approx: bool,
+        cost: &mut QueryCost,
+    ) -> Result<Vec<Result<Vec<Neighbor>>>> {
+        let shard_count = self.manifest.shards.len();
+        let mut span = mvag_obs::span("serve.fan_out");
+        span.counter("jobs", jobs.len() as u64);
+        span.counter("shards", shard_count as u64);
+        // Grouped by owner: under a residency cap a query order
+        // alternating between shards must cost one engine resolution
+        // per shard, not one reload per query.
+        let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+        for (j, job) in jobs.iter().enumerate() {
+            by_owner[job.owner].push(j);
         }
-        // Group by owning shard: an interleaved node order must cost
-        // one engine resolution per *shard*, not per node — under a
-        // residency cap the per-node path could reload a shard from
-        // disk for every single row.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.manifest.shards.len()];
-        for (pos, &owner) in owners.iter().enumerate() {
-            by_shard[owner].push(pos);
-        }
-        let mut rows: Vec<Vec<f64>> = vec![Vec::new(); nodes.len()];
-        for (owner, positions) in by_shard.into_iter().enumerate() {
-            if positions.is_empty() {
+        // Every job has an owner, so each placeholder is overwritten.
+        let mut vectors: Vec<Result<(Vec<f64>, f64)>> =
+            jobs.iter().map(|_| Ok((Vec::new(), 0.0))).collect();
+        for (owner, members) in by_owner.into_iter().enumerate() {
+            if members.is_empty() {
                 continue;
             }
             let engine = self.engine_for(owner)?;
-            let shard_nodes: Vec<usize> = positions.iter().map(|&p| nodes[p]).collect();
-            for (pos, row) in positions.into_iter().zip(engine.embed_batch(&shard_nodes)?) {
-                rows[pos] = row;
+            for j in members {
+                vectors[j] = engine.query_vector(jobs[j].node);
             }
         }
-        Ok(rows)
+        let live: Vec<VectorJob> = jobs
+            .iter()
+            .zip(&vectors)
+            .filter_map(|(job, vector)| {
+                let (qrow, qnorm) = vector.as_ref().ok()?;
+                Some(VectorJob {
+                    qrow,
+                    qnorm: *qnorm,
+                    exclude: Some(job.node),
+                    k: job.k,
+                    nprobe: job.nprobe,
+                })
+            })
+            .collect();
+        let mut merged = self.scan_and_merge(&live, approx, cost)?.into_iter();
+        Ok(vectors
+            .into_iter()
+            .map(|v| v.map(|_| merged.next().expect("one answer per live job")))
+            .collect())
     }
 
-    /// [`ShardRouter::embed_batch`] plus the batch's cost profile:
-    /// distinct owning shards touched and shard loads the fetch forced.
-    pub fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        cost.rows_scanned = nodes.len() as u64;
-        let mut touched = vec![false; self.manifest.shards.len()];
-        for &node in nodes {
-            if let Ok(owner) = self.check_node(node) {
-                touched[owner] = true;
-            }
-        }
-        cost.shards_touched = touched.iter().filter(|t| **t).count() as u64;
-        let loads_before = self.loads.load(Ordering::Relaxed);
-        let answer = self.embed_batch(nodes);
-        cost.shards_loaded = self
-            .loads
-            .load(Ordering::Relaxed)
-            .saturating_sub(loads_before);
-        cost.shards_resident = self.resident_count() as u64;
-        (answer, cost)
-    }
-
-    /// The `k` most similar nodes to `node` across *all* shards —
-    /// bit-identical to [`QueryEngine::top_k_similar`] on the
-    /// monolithic artifact the shards were cut from.
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] for out-of-range nodes or `k == 0`.
-    pub fn top_k_similar(&self, node: usize, k: usize) -> Result<Vec<Neighbor>> {
-        self.top_k_batch(&[(node, k)]).pop().expect("one query")
-    }
-
-    /// Answers many top-k queries, fanning each across all shards and
-    /// merging the per-shard top-k lists. Results are in query order;
-    /// failed queries carry their individual error.
-    pub fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>> {
-        self.top_k_batch_costed(queries).0
-    }
-
-    /// [`ShardRouter::top_k_batch`] plus the pass's cost profile:
-    /// cache hit/miss split, fan-out shape (shards touched vs loaded
-    /// vs resident), rows scanned, and tombstones masked. The answers
-    /// are exactly what `top_k_batch` returns — cost accounting never
-    /// perturbs results.
-    pub fn top_k_batch_costed(
+    /// The scan policy: every shard's jobs split into
+    /// `ceil(threads / shards)` chunks, one task per (shard, chunk),
+    /// each running the blocked multi-job kernel; then the per-shard
+    /// lists merge under the total order.
+    fn scan_and_merge(
         &self,
-        queries: &[(usize, usize)],
+        jobs: &[VectorJob],
+        approx: bool,
+        cost: &mut QueryCost,
+    ) -> Result<Vec<Vec<Neighbor>>> {
+        if jobs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let shard_count = self.manifest.shards.len();
+        let threads = parallel::default_threads();
+        let chunk_len = jobs
+            .len()
+            .div_ceil(threads.div_ceil(shard_count).min(jobs.len()));
+        let chunks: Vec<&[VectorJob]> = jobs.chunks(chunk_len).collect();
+        let tasks = shard_count * chunks.len();
+        // A lone approximate job parallelizes over its probed lists
+        // instead.
+        let probe_threads = if tasks == 1 { threads } else { 1 };
+        let task = |t: usize| -> Result<Vec<Partial>> {
+            let engine = self.engine_for(t / chunks.len())?;
+            scan_chunk(&engine, chunks[t % chunks.len()], approx, probe_threads)
+        };
+        let unbounded = self.config.max_resident == 0 || self.config.max_resident >= shard_count;
+        let per_task: Vec<Result<Vec<Partial>>> = if unbounded {
+            // Pool workers have no ambient trace of their own; carry
+            // the caller's over so per-shard spans (lazy loads, scans)
+            // attach to the request being fanned out.
+            let trace = mvag_obs::current_trace();
+            parallel::par_map(tasks, threads, |t| mvag_obs::with_trace(trace, || task(t)))
+        } else {
+            // Memory-capped: tasks are shard-major, so running them in
+            // order streams shard by shard and at most
+            // `max_resident + 1` shards are resident mid-scan.
+            (0..tasks).map(task).collect()
+        };
+        let _merge = mvag_obs::span("serve.merge");
+        let mut heaps: Vec<TopKHeap> = jobs.iter().map(|j| TopKHeap::new(j.k)).collect();
+        for (t, partials) in per_task.into_iter().enumerate() {
+            let first = (t % chunks.len()) * chunk_len;
+            for (heap, p) in heaps[first..].iter_mut().zip(partials?) {
+                cost.lists_probed += p.lists;
+                cost.rows_scanned += p.rows;
+                cost.tombstones_masked += p.masked;
+                if approx {
+                    self.counters
+                        .lists_scanned
+                        .fetch_add(p.lists, Ordering::Relaxed);
+                    self.counters
+                        .rows_scanned
+                        .fetch_add(p.rows, Ordering::Relaxed);
+                }
+                for neighbor in p.hits {
+                    heap.push(neighbor);
+                }
+            }
+        }
+        Ok(heaps.into_iter().map(TopKHeap::into_sorted).collect())
+    }
+
+    /// Shared tail of both top-k paths: admits each query, serves cache
+    /// hits (exact only), runs the rest, and assembles the answers in
+    /// query order.
+    fn top_k(
+        &self,
+        queries: impl ExactSizeIterator<Item = (usize, usize, usize)>,
+        approx: bool,
     ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::exact();
-        let n = self.meta.n;
+        let mut cost = if approx {
+            QueryCost::ivf()
+        } else {
+            QueryCost::exact()
+        };
         let mut answers: Vec<Option<Result<Vec<Neighbor>>>> = Vec::with_capacity(queries.len());
-        let mut work: Vec<usize> = Vec::new(); // answer slot per job
-        let mut jobs: Vec<(usize, usize)> = Vec::new(); // (node, clamped k)
+        let mut jobs: Vec<Job> = Vec::new();
         {
-            let mut cache = self.cache.lock().expect("router cache lock");
-            for &(node, k) in queries.iter() {
-                if node >= n {
-                    answers.push(Some(Err(ServeError::InvalidQuery(format!(
-                        "node {node} out of range (n = {n})"
-                    )))));
-                    continue;
-                }
-                if k == 0 {
-                    answers.push(Some(Err(ServeError::InvalidQuery(
-                        "k must be at least 1".into(),
-                    ))));
-                    continue;
-                }
-                let k = k.min(n - 1);
-                self.counters.exact_queries.fetch_add(1, Ordering::Relaxed);
-                if let Some(hit) = cache.get(&(node, k)) {
+            // Approximate answers bypass the cache (cheap, and
+            // parameterized by nprobe): every admitted one is a miss.
+            let mut cache = self.cache.lock().expect("cache lock");
+            for (node, k, nprobe) in queries {
+                let (owner, k) = match self.admit(node, k) {
+                    Ok(admitted) => admitted,
+                    Err(e) => {
+                        answers.push(Some(Err(e)));
+                        continue;
+                    }
+                };
+                let counter = if approx {
+                    &self.counters.approx_queries
+                } else {
+                    &self.counters.exact_queries
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                if let Some(hit) = (!approx).then(|| cache.get(&(node, k))).flatten() {
                     cost.cache_hits += 1;
                     answers.push(Some(Ok(hit.clone())));
                 } else {
                     cost.cache_misses += 1;
-                    work.push(answers.len());
+                    jobs.push(Job {
+                        slot: answers.len(),
+                        node,
+                        owner,
+                        k,
+                        nprobe,
+                    });
                     answers.push(None);
-                    jobs.push((node, k));
                 }
             }
         }
-        let loads_before = self.loads.load(Ordering::Relaxed);
-        if !jobs.is_empty() {
-            cost.shards_touched = self.manifest.shards.len() as u64;
-            // Every shard scans all of its rows for every job, so the
-            // fan-out's total scan work has a closed form; likewise the
-            // manifest's tombstones are masked once per job.
-            cost.rows_scanned = (jobs.len() * self.meta.rows()) as u64;
-            cost.tombstones_masked = (jobs.len()
-                * self
-                    .manifest
-                    .shards
-                    .iter()
-                    .map(|e| e.tombstones)
-                    .sum::<usize>()) as u64;
-            match self.fan_out(&jobs) {
-                Ok(results) => {
-                    let mut cache = self.cache.lock().expect("router cache lock");
-                    for ((slot, job), result) in work.into_iter().zip(&jobs).zip(results) {
-                        cache.insert(*job, result.clone());
-                        answers[slot] = Some(Ok(result));
-                    }
-                }
-                Err(e) => {
-                    // A shard-load failure poisons the whole uncached
-                    // batch — each job reports the same fault. The
-                    // error class is preserved: a bad/deleted query
-                    // node is the client's 400/404, not a 503.
-                    for slot in work {
-                        answers[slot] = Some(Err(clone_error_class(&e)));
-                    }
+        let results = self.run(&jobs, approx, &mut cost);
+        if !approx {
+            let mut cache = self.cache.lock().expect("cache lock");
+            for (job, result) in jobs.iter().zip(&results) {
+                if let Ok(hits) = result {
+                    cache.insert((job.node, job.k), hits.clone());
                 }
             }
         }
-        cost.shards_loaded = self
-            .loads
-            .load(Ordering::Relaxed)
-            .saturating_sub(loads_before);
-        cost.shards_resident = self.resident_count() as u64;
+        for (job, result) in jobs.iter().zip(results) {
+            answers[job.slot] = Some(result);
+        }
         let answers = answers
             .into_iter()
             .map(|a| a.expect("all slots filled"))
             .collect();
         (answers, cost)
-    }
-
-    /// Fetches the embedding row + norm of every query node from its
-    /// owning shard, grouped by owner: under a residency cap a query
-    /// order alternating between shards must cost one engine
-    /// resolution per shard, not one reload per query.
-    fn gather_query_vectors(&self, nodes: &[usize]) -> Result<Vec<(Vec<f64>, f64)>> {
-        let shard_count = self.manifest.shards.len();
-        let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-        for (j, &node) in nodes.iter().enumerate() {
-            by_owner[self.check_node(node)?].push(j);
-        }
-        let mut vectors: Vec<Option<(Vec<f64>, f64)>> = vec![None; nodes.len()];
-        for (owner, job_indices) in by_owner.into_iter().enumerate() {
-            if job_indices.is_empty() {
-                continue;
-            }
-            let engine = self.engine_for(owner)?;
-            for j in job_indices {
-                vectors[j] = Some(engine.query_vector(nodes[j])?);
-            }
-        }
-        Ok(vectors
-            .into_iter()
-            .map(|v| v.expect("every job has an owner"))
-            .collect())
-    }
-
-    /// Runs `scan` against every shard engine and hands each per-shard
-    /// result to the caller. Parallel over shards whenever the
-    /// residency budget admits every shard at once; sequential
-    /// shard-at-a-time when memory-capped, so at most
-    /// `max_resident + 1` shards are ever resident mid-scan.
-    fn scan_all_shards<R: Send>(
-        &self,
-        scan: impl Fn(&QueryEngine) -> Result<R> + Sync,
-    ) -> Vec<Result<R>> {
-        let shard_count = self.manifest.shards.len();
-        let unbounded = self.config.max_resident == 0 || self.config.max_resident >= shard_count;
-        if unbounded {
-            let threads = self.config.engine.threads.max(1);
-            // Pool workers have no ambient trace of their own; carry
-            // the caller's over so per-shard spans (lazy loads, probe
-            // scans) attach to the request being fanned out.
-            let trace = mvag_obs::current_trace();
-            parallel::par_map(shard_count, threads, |s| {
-                mvag_obs::with_trace(trace, || {
-                    self.engine_for(s).and_then(|engine| scan(&engine))
-                })
-            })
-        } else {
-            (0..shard_count)
-                .map(|s| self.engine_for(s).and_then(|engine| scan(&engine)))
-                .collect()
-        }
-    }
-
-    /// Scores every job against every shard and merges (the exact
-    /// path: each shard scans all of its rows).
-    fn fan_out(&self, jobs: &[(usize, usize)]) -> Result<Vec<Vec<Neighbor>>> {
-        let mut span = mvag_obs::span("serve.fan_out");
-        span.counter("jobs", jobs.len() as u64);
-        span.counter("shards", self.manifest.shards.len() as u64);
-        let nodes: Vec<usize> = jobs.iter().map(|&(node, _)| node).collect();
-        let vectors = self.gather_query_vectors(&nodes)?;
-        // per_shard[s][j]: shard s's best k for job j.
-        let per_shard = self.scan_all_shards(|engine| {
-            let mut scan = mvag_obs::span("serve.scan");
-            scan.counter("queries", jobs.len() as u64);
-            scan.counter(
-                "rows_scanned",
-                (jobs.len() * engine.artifact().meta.rows()) as u64,
-            );
-            Ok(jobs
-                .iter()
-                .zip(&vectors)
-                .map(|(&(node, k), (qrow, qnorm))| {
-                    engine.top_k_for_query(qrow, *qnorm, k, Some(node))
-                })
-                .collect::<Vec<Vec<Neighbor>>>())
-        });
-        let _merge = mvag_obs::span("serve.merge");
-        let mut merged: Vec<TopKHeap> = jobs.iter().map(|&(_, k)| TopKHeap::new(k)).collect();
-        for shard_results in per_shard {
-            for (heap, partial) in merged.iter_mut().zip(shard_results?) {
-                for neighbor in partial {
-                    heap.push(neighbor);
-                }
-            }
-        }
-        Ok(merged.into_iter().map(TopKHeap::into_sorted).collect())
-    }
-
-    /// The `k` most similar nodes to `node` via per-shard IVF probes
-    /// (`nprobe` lists per shard; `0` = per-shard default,
-    /// `nprobe >= nlist` is bit-identical to
-    /// [`ShardRouter::top_k_similar`]).
-    ///
-    /// # Errors
-    /// [`ServeError::InvalidQuery`] for out-of-range nodes, `k == 0`,
-    /// or shards without an index.
-    pub fn top_k_approx(&self, node: usize, k: usize, nprobe: usize) -> Result<Vec<Neighbor>> {
-        self.top_k_batch_approx(&[(node, k, nprobe)])
-            .pop()
-            .expect("one query")
-    }
-
-    /// Answers many approximate top-k queries, fanning each across all
-    /// shards' IVF indexes and merging the per-shard probe results
-    /// under the same total order as the exact path. Results are not
-    /// cached (cheap, and parameterized by `nprobe`).
-    pub fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        self.top_k_batch_approx_costed(queries).0
-    }
-
-    /// [`ShardRouter::top_k_batch_approx`] plus the pass's cost
-    /// profile: lists probed and candidate rows scored across all
-    /// shards, fan-out shape, and shard loads forced. Dead candidates
-    /// are filtered inside the shard engines and are not attributed
-    /// here (`tombstones_masked` stays 0 on this path). The answers
-    /// are exactly what `top_k_batch_approx` returns.
-    pub fn top_k_batch_approx_costed(
-        &self,
-        queries: &[ApproxQuery],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        let mut cost = QueryCost::ivf();
-        let n = self.meta.n;
-        let mut answers: Vec<Option<Result<Vec<Neighbor>>>> = Vec::with_capacity(queries.len());
-        let mut work: Vec<usize> = Vec::new(); // answer slot per job
-        let mut jobs: Vec<ApproxQuery> = Vec::new();
-        for &(node, k, nprobe) in queries {
-            if node >= n {
-                answers.push(Some(Err(ServeError::InvalidQuery(format!(
-                    "node {node} out of range (n = {n})"
-                )))));
-                continue;
-            }
-            if k == 0 {
-                answers.push(Some(Err(ServeError::InvalidQuery(
-                    "k must be at least 1".into(),
-                ))));
-                continue;
-            }
-            self.counters.approx_queries.fetch_add(1, Ordering::Relaxed);
-            work.push(answers.len());
-            answers.push(None);
-            jobs.push((node, k.min(n - 1), nprobe));
-        }
-        let loads_before = self.loads.load(Ordering::Relaxed);
-        if !jobs.is_empty() {
-            // Approx results are never cached, so every admitted job
-            // is a miss by definition.
-            cost.cache_misses = jobs.len() as u64;
-            cost.shards_touched = self.manifest.shards.len() as u64;
-            match self.fan_out_approx(&jobs) {
-                Ok((results, lists_probed, rows_scanned)) => {
-                    cost.lists_probed = lists_probed;
-                    cost.rows_scanned = rows_scanned;
-                    for (slot, result) in work.into_iter().zip(results) {
-                        answers[slot] = Some(Ok(result));
-                    }
-                }
-                Err(e) => {
-                    // Preserve the error class: a missing index is the
-                    // client's 400, a deleted query node its 404, a
-                    // shard-load fault a 503.
-                    for slot in work {
-                        answers[slot] = Some(Err(clone_error_class(&e)));
-                    }
-                }
-            }
-        }
-        cost.shards_loaded = self
-            .loads
-            .load(Ordering::Relaxed)
-            .saturating_sub(loads_before);
-        cost.shards_resident = self.resident_count() as u64;
-        let answers = answers
-            .into_iter()
-            .map(|a| a.expect("all slots filled"))
-            .collect();
-        (answers, cost)
-    }
-
-    /// Probes every shard's index for every job and merges — the
-    /// approximate analogue of [`ShardRouter::fan_out`], with the same
-    /// residency/parallelism policy. Per-shard scan work feeds the
-    /// router's counters (per-shard engine counters would be lost on
-    /// eviction). Returns `(answers, lists probed, rows scanned)` so
-    /// the caller's cost profile sees the real probe totals.
-    fn fan_out_approx(&self, jobs: &[ApproxQuery]) -> Result<(Vec<Vec<Neighbor>>, u64, u64)> {
-        let mut span = mvag_obs::span("serve.fan_out");
-        span.counter("jobs", jobs.len() as u64);
-        span.counter("shards", self.manifest.shards.len() as u64);
-        let nodes: Vec<usize> = jobs.iter().map(|&(node, _, _)| node).collect();
-        let vectors = self.gather_query_vectors(&nodes)?;
-        let per_shard = self.scan_all_shards(|engine| {
-            let mut probe = mvag_obs::span("serve.ivf_probe");
-            probe.counter("queries", jobs.len() as u64);
-            let shard_results = jobs
-                .iter()
-                .zip(&vectors)
-                .map(|(&(node, k, nprobe), (qrow, qnorm))| {
-                    engine.top_k_for_query_approx(qrow, *qnorm, k, nprobe, Some(node))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            for (_, stats) in &shard_results {
-                probe.counter("lists_scanned", stats.lists_scanned as u64);
-                probe.counter("rows_scanned", stats.rows_scanned as u64);
-            }
-            Ok(shard_results)
-        });
-        let _merge = mvag_obs::span("serve.merge");
-        let mut merged: Vec<TopKHeap> = jobs.iter().map(|&(_, k, _)| TopKHeap::new(k)).collect();
-        let mut lists_probed = 0u64;
-        let mut rows_scanned = 0u64;
-        for shard_results in per_shard {
-            for (heap, (partial, stats)) in merged.iter_mut().zip(shard_results?) {
-                self.counters.record_search(&stats);
-                span.counter("lists_scanned", stats.lists_scanned as u64);
-                span.counter("rows_scanned", stats.rows_scanned as u64);
-                lists_probed += stats.lists_scanned as u64;
-                rows_scanned += stats.rows_scanned as u64;
-                for neighbor in partial {
-                    heap.push(neighbor);
-                }
-            }
-        }
-        let answers = merged.into_iter().map(TopKHeap::into_sorted).collect();
-        Ok((answers, lists_probed, rows_scanned))
     }
 }
 
-/// Re-materializes a fan-out error once per poisoned job, keeping the
-/// client-facing classes (`InvalidQuery` → 400, `NotFound` → 404)
-/// intact and demoting everything else to a server-side fault.
+/// The per-shard half of a fan-out for one chunk of jobs: the blocked
+/// exact kernel, or one IVF probe per job.
+fn scan_chunk(
+    engine: &ShardEngine,
+    jobs: &[VectorJob],
+    approx: bool,
+    probe_threads: usize,
+) -> Result<Vec<Partial>> {
+    if approx {
+        let mut span = mvag_obs::span("serve.ivf_probe");
+        span.counter("queries", jobs.len() as u64);
+        return jobs
+            .iter()
+            .map(|job| {
+                let (hits, stats, masked) = engine.probe(job, probe_threads)?;
+                span.counter("lists_scanned", stats.lists_scanned as u64);
+                span.counter("rows_scanned", stats.rows_scanned as u64);
+                Ok(Partial {
+                    hits,
+                    lists: stats.lists_scanned as u64,
+                    rows: stats.rows_scanned as u64,
+                    masked,
+                })
+            })
+            .collect();
+    }
+    // `rows_scanned` counts the candidate rows a job visited: every
+    // row of the shard except the query row itself (so a whole scan is
+    // `n - 1`, as for a full IVF probe). Tombstoned rows are visited
+    // and masked; they count here and in `tombstones_masked`.
+    let a = engine.artifact();
+    let rows = |job: &VectorJob| {
+        let own = job
+            .exclude
+            .is_some_and(|x| (a.meta.row_start..a.meta.row_end).contains(&x));
+        (a.meta.rows() - usize::from(own)) as u64
+    };
+    let mut span = mvag_obs::span("serve.scan");
+    span.counter("queries", jobs.len() as u64);
+    span.counter("rows_scanned", jobs.iter().map(rows).sum());
+    let masked = a.tombstone_count() as u64;
+    Ok(engine
+        .scan(jobs)
+        .into_iter()
+        .zip(jobs)
+        .map(|(hits, job)| Partial {
+            hits,
+            lists: 0,
+            rows: rows(job),
+            masked,
+        })
+        .collect())
+}
+
+/// The one-entry manifest of a single artifact.
+fn one_shard_manifest(artifact: &Artifact) -> ShardManifest {
+    let m = &artifact.meta;
+    ShardManifest {
+        dataset: m.dataset.clone(),
+        n: m.n,
+        k: m.k,
+        dim: m.dim,
+        seed: m.seed,
+        artifact_format_version: FORMAT_VERSION,
+        update_count: m.update_count,
+        compaction_count: m.compaction_count,
+        id_map: None,
+        shards: vec![ShardEntry {
+            row_start: m.row_start,
+            row_end: m.row_end,
+            tombstones: artifact.tombstone_count(),
+            ..ShardEntry::default()
+        }],
+    }
+}
+
+/// Re-materializes a fan-out error once per failed job, keeping the
+/// client-facing classes (`InvalidQuery` → 400, `NotFound` → 404) and
+/// their messages intact and demoting everything else to a
+/// server-side fault.
 fn clone_error_class(e: &ServeError) -> ServeError {
-    let msg = e.to_string();
     match e {
-        ServeError::InvalidQuery(_) => ServeError::InvalidQuery(msg),
-        ServeError::NotFound(_) => ServeError::NotFound(msg),
-        _ => ServeError::Server(msg),
+        ServeError::InvalidQuery(msg) => ServeError::InvalidQuery(msg.clone()),
+        ServeError::NotFound(msg) => ServeError::NotFound(msg.clone()),
+        other => ServeError::Server(other.to_string()),
     }
 }
 
@@ -919,28 +902,89 @@ impl QueryBackend for ShardRouter {
         self.weights.clone()
     }
 
-    fn cluster_of(&self, node: usize) -> Result<ClusterInfo> {
-        ShardRouter::cluster_of(self, node)
+    fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
+        let mut cost = QueryCost::exact();
+        cost.shards_touched = 1;
+        cost.rows_scanned = 1;
+        let loads_before = self.loads.load(Ordering::Relaxed);
+        let answer = self
+            .owner(node)
+            .and_then(|shard| self.engine_for(shard)?.cluster_of(node));
+        cost.shards_loaded = self.loads_since(loads_before);
+        cost.shards_resident = self.resident_count() as u64;
+        (answer, cost)
     }
 
-    fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>> {
-        ShardRouter::top_k_batch(self, queries)
+    fn top_k_batch_costed(
+        &self,
+        queries: &[(usize, usize)],
+    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
+        self.top_k(queries.iter().map(|&(node, k)| (node, k, 0)), false)
     }
 
-    fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        ShardRouter::top_k_batch_approx(self, queries)
+    fn top_k_batch_approx_costed(
+        &self,
+        queries: &[ApproxQuery],
+    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
+        if !self.index_enabled {
+            let answers = queries.iter().map(|_| Err(no_index_error())).collect();
+            let mut cost = QueryCost::ivf();
+            cost.shards_resident = self.resident_count() as u64;
+            return (answers, cost);
+        }
+        self.top_k(queries.iter().copied(), true)
+    }
+
+    fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
+        let mut cost = QueryCost::exact();
+        cost.rows_scanned = nodes.len() as u64;
+        let loads_before = self.loads.load(Ordering::Relaxed);
+        // Group by owning shard: an interleaved node order must cost
+        // one engine resolution per *shard*, not per node — under a
+        // residency cap the per-node path could reload a shard from
+        // disk for every single row.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.manifest.shards.len()];
+        let answer = nodes
+            .iter()
+            .enumerate()
+            .try_for_each(|(pos, &node)| {
+                by_shard[self.owner(node)?].push(pos);
+                Ok(())
+            })
+            .and_then(|()| {
+                let mut rows: Vec<Vec<f64>> = vec![Vec::new(); nodes.len()];
+                for (owner, positions) in by_shard.iter().enumerate() {
+                    if positions.is_empty() {
+                        continue;
+                    }
+                    cost.shards_touched += 1;
+                    let shard_nodes: Vec<usize> = positions.iter().map(|&p| nodes[p]).collect();
+                    let fetched = self.engine_for(owner)?.embed_batch(&shard_nodes)?;
+                    for (&pos, row) in positions.iter().zip(fetched) {
+                        rows[pos] = row;
+                    }
+                }
+                Ok(rows)
+            });
+        cost.shards_loaded = self.loads_since(loads_before);
+        cost.shards_resident = self.resident_count() as u64;
+        (answer, cost)
     }
 
     fn index_stats(&self) -> IndexStats {
-        self.counters.snapshot(self.index_enabled, self.index_nlist)
-    }
-
-    fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>> {
-        ShardRouter::embed_batch(self, nodes)
+        let c = &self.counters;
+        IndexStats {
+            enabled: self.index_enabled,
+            nlist: self.index_nlist,
+            approx_queries: c.approx_queries.load(Ordering::Relaxed),
+            exact_queries: c.exact_queries.load(Ordering::Relaxed),
+            lists_scanned: c.lists_scanned.load(Ordering::Relaxed),
+            rows_scanned: c.rows_scanned.load(Ordering::Relaxed),
+        }
     }
 
     fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().expect("router cache lock").stats()
+        self.cache.lock().expect("cache lock").stats()
     }
 
     fn shard_count(&self) -> usize {
@@ -958,29 +1002,29 @@ impl QueryBackend for ShardRouter {
     }
 
     fn store_memory(&self) -> StoreMemory {
-        ShardRouter::store_memory(self)
-    }
-
-    fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
-        ShardRouter::cluster_of_costed(self, node)
-    }
-
-    fn top_k_batch_costed(
-        &self,
-        queries: &[(usize, usize)],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        ShardRouter::top_k_batch_costed(self, queries)
-    }
-
-    fn top_k_batch_approx_costed(
-        &self,
-        queries: &[ApproxQuery],
-    ) -> (Vec<Result<Vec<Neighbor>>>, QueryCost) {
-        ShardRouter::top_k_batch_approx_costed(self, queries)
-    }
-
-    fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
-        ShardRouter::embed_batch_costed(self, nodes)
+        let slots = self.slots.lock().expect("slot lock");
+        let mut mem = StoreMemory {
+            resident_hint: if self.config.max_resident == 0 {
+                "none"
+            } else if self.config.mmap != MmapMode::Off && crate::store::MMAP_SUPPORTED {
+                "madvise"
+            } else {
+                "evict"
+            }
+            .to_string(),
+            ..StoreMemory::default()
+        };
+        for slot in slots.iter() {
+            match &slot.engine {
+                Some(engine) => {
+                    mem.owned_bytes += engine.store().owned_bytes();
+                    mem.mapped_bytes += engine.store().mapped_bytes();
+                    mem.stores.push(engine.store().kind().to_string());
+                }
+                None => mem.stores.push("-".to_string()),
+            }
+        }
+        mem
     }
 }
 
@@ -988,6 +1032,7 @@ impl QueryBackend for ShardRouter {
 mod tests {
     use super::*;
     use crate::artifact::TrainConfig;
+    use crate::engine::QueryEngine;
 
     fn trained() -> Artifact {
         let mvag = mvag_graph::toy::toy_mvag(72, 3, 13);
@@ -1028,6 +1073,12 @@ mod tests {
             engine.embed_batch(&[3, 40, 70]).unwrap(),
             router.embed_batch(&[3, 40, 70]).unwrap()
         );
+        // The scan work is defined once: n - 1 candidate rows per
+        // job at any shard count.
+        let (_, one) = engine.top_k_batch_costed(&[(1, 3), (2, 3)]);
+        let (_, four) = router.top_k_batch_costed(&[(1, 3), (2, 3)]);
+        assert_eq!(one.rows_scanned, 2 * 71);
+        assert_eq!(four.rows_scanned, 2 * 71);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1048,7 +1099,7 @@ mod tests {
         for (a, d) in again.iter().zip(&direct) {
             assert_eq!(a.as_ref().unwrap(), d.as_ref().unwrap());
         }
-        let (hits, _) = QueryBackend::cache_stats(&router);
+        let (hits, _) = router.cache_stats();
         assert!(hits >= queries.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1065,6 +1116,46 @@ mod tests {
         assert!(res[3].is_ok());
         assert!(router.cluster_of(9_999).is_err());
         assert!(router.embed_batch(&[0, 9_999]).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deleted_node_fails_only_its_own_query() {
+        let mut artifact = trained();
+        artifact.tombstones = vec![7];
+        let config = EngineConfig {
+            index: Some(mvag_index::IvfConfig { nlist: 3, seed: 4 }),
+            ..EngineConfig::default()
+        };
+        let dir = sharded_dir(&artifact, 2, "deleted");
+        let one = QueryEngine::new(artifact, config.clone()).unwrap();
+        let two = ShardRouter::open(
+            &dir,
+            RouterConfig {
+                engine: config,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let message = "not found: node 7 has been deleted (tombstoned; pending compaction)";
+        for backend in [&one as &dyn QueryBackend, &two] {
+            let exact = backend.top_k_batch(&[(0, 3), (7, 3), (2, 3)]);
+            let approx = backend.top_k_batch_approx(&[(0, 3, 99), (7, 3, 99), (2, 3, 99)]);
+            for answers in [exact, approx] {
+                assert_eq!(
+                    answers[0].as_ref().unwrap(),
+                    &one.top_k_similar(0, 3).unwrap()
+                );
+                assert_eq!(
+                    answers[2].as_ref().unwrap(),
+                    &one.top_k_similar(2, 3).unwrap()
+                );
+                match &answers[1] {
+                    Err(e @ ServeError::NotFound(_)) => assert_eq!(e.to_string(), message),
+                    other => panic!("expected NotFound, got {other:?}"),
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1087,7 +1178,7 @@ mod tests {
                 engine.cluster_of(node).unwrap(),
                 router.cluster_of(node).unwrap()
             );
-            assert!(QueryBackend::resident_shards(&router) <= 2);
+            assert!(router.resident_shards() <= 2);
         }
         let direct = engine.top_k_similar(50, 9).unwrap();
         let routed = router.top_k_similar(50, 9).unwrap();
@@ -1111,8 +1202,8 @@ mod tests {
             ..RouterConfig::default()
         };
         let router = ShardRouter::open(&dir, config).unwrap();
-        assert!(QueryBackend::index_stats(&router).enabled);
-        // Full probe: bit-identical to the monolithic exact engine.
+        assert!(router.index_stats().enabled);
+        // Full probe: bit-identical to the one-shard exact scan.
         for node in [0usize, 17, 36, 71] {
             let exact = engine.top_k_similar(node, 7).unwrap();
             let approx = router.top_k_approx(node, 7, usize::MAX).unwrap();
@@ -1123,9 +1214,9 @@ mod tests {
             }
         }
         // Partial probe scans fewer rows than shards hold in total.
-        let before = QueryBackend::index_stats(&router);
+        let before = router.index_stats();
         router.top_k_approx(5, 5, 1).unwrap();
-        let after = QueryBackend::index_stats(&router);
+        let after = router.index_stats();
         assert_eq!(after.approx_queries, before.approx_queries + 1);
         assert!(after.rows_scanned - before.rows_scanned < 71);
         std::fs::remove_dir_all(&dir).ok();
@@ -1159,8 +1250,8 @@ mod tests {
             .iter()
             .all(Option::is_some));
         // Subsequent fan-outs reload evicted shards but reuse the
-        // cached indexes (the with_index path) — answers stay exact
-        // at full probe and evictions keep happening.
+        // cached indexes — answers stay exact at full probe and
+        // evictions keep happening.
         let (loads_before, _) = router.residency_stats();
         let again = router.top_k_approx(60, 6, usize::MAX).unwrap();
         assert_eq!(again, engine.top_k_similar(60, 6).unwrap());
@@ -1175,7 +1266,7 @@ mod tests {
         let artifact = trained();
         let dir = sharded_dir(&artifact, 2, "approx-none");
         let router = ShardRouter::open(&dir, RouterConfig::default()).unwrap();
-        assert!(!QueryBackend::index_stats(&router).enabled);
+        assert!(!router.index_stats().enabled);
         let res = router.top_k_batch_approx(&[(0, 3, 1), (9_999, 3, 1)]);
         assert!(matches!(res[0], Err(ServeError::InvalidQuery(_))));
         assert!(matches!(res[1], Err(ServeError::InvalidQuery(_))));
@@ -1204,9 +1295,24 @@ mod tests {
                 .save(&dir.join(Artifact::shard_index_file_name(i)))
                 .unwrap();
         }
+        // A single file's `<file>.ivf` sidecar loads the same way.
+        let file = dir.join("mono.sgla");
+        artifact.save(&file).unwrap();
+        artifact
+            .build_ivf(&mvag_index::IvfConfig { nlist: 3, seed: 9 })
+            .unwrap()
+            .save(&Artifact::index_sidecar_path(&file))
+            .unwrap();
         let engine = QueryEngine::new(artifact, EngineConfig::default()).unwrap();
+        let mono = ShardRouter::open(&file, RouterConfig::default()).unwrap();
+        assert_eq!(mono.shard_count(), 1);
+        assert_eq!(mono.index_stats().nlist, 3);
+        assert_eq!(
+            mono.top_k_approx(40, 6, usize::MAX).unwrap(),
+            engine.top_k_similar(40, 6).unwrap()
+        );
         let router = ShardRouter::open(&dir, RouterConfig::default()).unwrap();
-        let stats = QueryBackend::index_stats(&router);
+        let stats = router.index_stats();
         assert!(stats.enabled);
         assert_eq!(stats.nlist, 3);
         let exact = engine.top_k_similar(40, 6).unwrap();
@@ -1241,7 +1347,10 @@ mod tests {
             Err(ServeError::Corrupt(_))
         ));
         // A fan-out over the broken shard fails as a server-side error.
-        assert!(router.top_k_similar(0, 3).is_err());
+        assert!(matches!(
+            router.top_k_similar(0, 3),
+            Err(ServeError::Server(_))
+        ));
         // Mangle the manifest: open() itself must fail.
         std::fs::write(dir.join(Artifact::MANIFEST_FILE), "{not json").unwrap();
         assert!(ShardRouter::open(&dir, RouterConfig::default()).is_err());

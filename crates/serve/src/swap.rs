@@ -84,49 +84,6 @@ impl QueryBackend for HotSwapBackend {
         self.current().weights()
     }
 
-    fn cluster_of(&self, node: usize) -> Result<ClusterInfo> {
-        self.current().cluster_of(node)
-    }
-
-    fn top_k_batch(&self, queries: &[(usize, usize)]) -> Vec<Result<Vec<Neighbor>>> {
-        self.current().top_k_batch(queries)
-    }
-
-    fn top_k_batch_approx(&self, queries: &[ApproxQuery]) -> Vec<Result<Vec<Neighbor>>> {
-        self.current().top_k_batch_approx(queries)
-    }
-
-    fn index_stats(&self) -> IndexStats {
-        self.current().index_stats()
-    }
-
-    fn embed_batch(&self, nodes: &[usize]) -> Result<Vec<Vec<f64>>> {
-        self.current().embed_batch(nodes)
-    }
-
-    fn cache_stats(&self) -> (u64, u64) {
-        self.current().cache_stats()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.current().shard_count()
-    }
-
-    fn resident_shards(&self) -> usize {
-        self.current().resident_shards()
-    }
-
-    fn tombstone_count(&self) -> usize {
-        self.current().tombstone_count()
-    }
-
-    fn store_memory(&self) -> crate::store::StoreMemory {
-        self.current().store_memory()
-    }
-
-    // The costed variants must delegate explicitly: the trait defaults
-    // would wrap `self.cluster_of(..)` etc. and lose the inner
-    // backend's real counters (cache split, probe totals, loads).
     fn cluster_of_costed(&self, node: usize) -> (Result<ClusterInfo>, QueryCost) {
         self.current().cluster_of_costed(node)
     }
@@ -147,6 +104,30 @@ impl QueryBackend for HotSwapBackend {
 
     fn embed_batch_costed(&self, nodes: &[usize]) -> (Result<Vec<Vec<f64>>>, QueryCost) {
         self.current().embed_batch_costed(nodes)
+    }
+
+    fn index_stats(&self) -> IndexStats {
+        self.current().index_stats()
+    }
+
+    fn cache_stats(&self) -> (u64, u64) {
+        self.current().cache_stats()
+    }
+
+    fn shard_count(&self) -> usize {
+        self.current().shard_count()
+    }
+
+    fn resident_shards(&self) -> usize {
+        self.current().resident_shards()
+    }
+
+    fn tombstone_count(&self) -> usize {
+        self.current().tombstone_count()
+    }
+
+    fn store_memory(&self) -> crate::store::StoreMemory {
+        self.current().store_memory()
     }
 }
 

@@ -4,7 +4,8 @@
 
 use mvag_data::json::Value;
 use sgla_serve::{
-    Artifact, EngineConfig, HttpClient, QueryEngine, Server, ServerConfig, TrainConfig,
+    Artifact, EngineConfig, HttpClient, QueryBackend, QueryEngine, Server, ServerConfig,
+    TrainConfig,
 };
 use std::sync::Arc;
 
@@ -46,7 +47,7 @@ fn save_load_serve_and_query() {
     assert_eq!(artifact, loaded);
     std::fs::remove_file(&path).ok();
 
-    let (server, engine) = start_server(loaded);
+    let (server, engine) = start_server(loaded.clone());
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
 
     // Health.
@@ -60,7 +61,7 @@ fn save_load_serve_and_query() {
     assert_eq!(meta.body.get("n").unwrap().as_usize(), Some(90));
     assert_eq!(meta.body.get("k").unwrap().as_usize(), Some(3));
     let weights = meta.body.get("weights").unwrap().as_array().unwrap();
-    for (wire, direct) in weights.iter().zip(&engine.artifact().weights) {
+    for (wire, direct) in weights.iter().zip(&artifact.weights) {
         assert_eq!(wire.as_f64().unwrap().to_bits(), direct.to_bits());
     }
 
@@ -106,7 +107,7 @@ fn save_load_serve_and_query() {
     let rows = res.body.get("embeddings").unwrap().as_array().unwrap();
     assert_eq!(rows.len(), 3);
     for (row_val, &node) in rows.iter().zip(&[0usize, 5, 89]) {
-        let direct = engine.store().row(node);
+        let direct = artifact.embedding.row(node);
         let wire = row_val.as_array().unwrap();
         assert_eq!(wire.len(), direct.len());
         for (w, d) in wire.iter().zip(direct) {

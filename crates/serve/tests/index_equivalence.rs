@@ -8,6 +8,7 @@
 //! corruption.
 
 use proptest::prelude::*;
+use sgla_serve::QueryBackend;
 use sgla_serve::{
     Artifact, EngineConfig, IvfConfig, QueryEngine, RouterConfig, ShardRouter, TrainConfig,
 };

@@ -1,32 +1,39 @@
-//! Property test: the sharded serving path is **bit-identical** to the
-//! monolithic one.
+//! Property test: the sharded serving path is **bit-identical**
+//! however the rows are sharded.
 //!
 //! One artifact is trained once; each proptest case picks a shard
 //! count, a residency budget, and a query mix, saves the sharded
 //! layout, opens a [`ShardRouter`] over it, and checks every answer —
 //! neighbour ids, `f64` score bits, cluster assignments, embedding
-//! rows — against the monolithic [`QueryEngine`] on the very same
-//! artifact. This is the exact-equivalence guarantee the fan-out/merge
-//! logic is built around: row-range sharding must be invisible to
-//! clients.
+//! rows — against a one-shard layout of the very same artifact
+//! (sharded(N) vs sharded(1)). The one-shard front end is itself held
+//! to a scalar full-sort reference by the engine tests. Row-range
+//! sharding must be invisible to clients.
 
 use proptest::prelude::*;
-use sgla_serve::{Artifact, EngineConfig, QueryEngine, RouterConfig, ShardRouter, TrainConfig};
+use sgla_serve::{
+    Artifact, EngineConfig, QueryBackend, QueryEngine, RouterConfig, ShardRouter, TrainConfig,
+};
 use std::sync::{Arc, OnceLock};
 
 const N: usize = 72;
 
 /// Training dominates wall-clock; every case reuses one artifact and
-/// one monolithic reference engine.
-fn reference() -> &'static (Artifact, QueryEngine) {
-    static SHARED: OnceLock<(Artifact, QueryEngine)> = OnceLock::new();
+/// one sharded(1) reference front end.
+fn reference() -> &'static (Artifact, ShardRouter) {
+    static SHARED: OnceLock<(Artifact, ShardRouter)> = OnceLock::new();
     SHARED.get_or_init(|| {
         let mvag = mvag_data::toy_mvag(N, 3, 23);
         let mut config = TrainConfig::default();
         config.embed.dim = 8;
         let artifact = Artifact::train(&mvag, &config).unwrap();
-        let engine = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
-        (artifact, engine)
+        let dir = std::env::temp_dir().join(format!("sgla-shard-equiv-ref-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        artifact.save_sharded(&dir, 1).unwrap();
+        let one = ShardRouter::open(&dir, RouterConfig::default()).unwrap();
+        // Shard 0 loads at open and stays resident: the files can go.
+        std::fs::remove_dir_all(&dir).ok();
+        (artifact, one)
     })
 }
 
@@ -60,11 +67,11 @@ proptest! {
         queries in proptest::collection::vec((0usize..N, 1usize..20), 1..12),
         case in 0u64..u64::MAX,
     ) {
-        let (_, engine) = reference();
+        let (_, one) = reference();
         let (router, dir) = router_with(shards, max_resident, case);
 
         // Batch path.
-        let direct = engine.top_k_batch(&queries);
+        let direct = one.top_k_batch(&queries);
         let routed = router.top_k_batch(&queries);
         for ((d, r), &(node, k)) in direct.iter().zip(&routed).zip(&queries) {
             let d = d.as_ref().unwrap();
@@ -80,7 +87,7 @@ proptest! {
         }
         // Single-query path (exercises the router cache on repeats).
         for &(node, k) in queries.iter().take(4) {
-            let d = engine.top_k_similar(node, k).unwrap();
+            let d = one.top_k_similar(node, k).unwrap();
             let r = router.top_k_similar(node, k).unwrap();
             prop_assert_eq!(d, r);
         }
@@ -93,29 +100,27 @@ proptest! {
         nodes in proptest::collection::vec(0usize..N, 1..10),
         case in 0u64..u64::MAX,
     ) {
-        let (_, engine) = reference();
+        let (_, one) = reference();
         let (router, dir) = router_with(shards, 0, case.wrapping_add(1));
         for &node in &nodes {
             prop_assert_eq!(
-                engine.cluster_of(node).unwrap(),
+                one.cluster_of(node).unwrap(),
                 router.cluster_of(node).unwrap()
             );
         }
         prop_assert_eq!(
-            engine.embed_batch(&nodes).unwrap(),
+            one.embed_batch(&nodes).unwrap(),
             router.embed_batch(&nodes).unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// Non-proptest smoke check that a v1-era monolithic file and the v2
+/// Non-proptest smoke check that an in-memory artifact and the
 /// sharded layout of the same artifact serve identical answers over a
 /// shared `Arc<dyn QueryBackend>` (the HTTP server's view of both).
 #[test]
 fn backend_trait_view_is_equivalent() {
-    use sgla_serve::QueryBackend;
-
     let (artifact, _) = reference();
     let (router, dir) = router_with(3, 0, u64::MAX);
     let engine = Arc::new(QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap());

@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 use sgla_serve::store::{open_mapped, MmapMode};
 use sgla_serve::{
-    Artifact, EngineConfig, IvfConfig, QueryBackend, QueryEngine, RouterConfig, ShardRouter,
-    TrainConfig,
+    Artifact, EngineConfig, IvfConfig, QueryBackend, QueryEngine, RouterConfig, ShardEngine,
+    ShardRouter, TrainConfig,
 };
 use std::path::PathBuf;
 
@@ -115,7 +115,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Monolithic: `QueryEngine::from_mapped` over the saved v5 file
-    /// answers bit-identically to the owned decode of the same file.
+    /// answers bit-identically to the owned decode of the same file
+    /// (opened through the front end's file loader, norms reused).
     #[test]
     fn monolithic_mapped_matches_owned(w in workload_strategy()) {
         let artifact = trained(&w);
@@ -124,14 +125,12 @@ proptest! {
         let path = dir.join("artifact.sgla");
         artifact.save(&path).unwrap();
 
-        let (owned_artifact, norms) = Artifact::load_with_norms(&path).unwrap();
-        let owned =
-            QueryEngine::new_with_norms(owned_artifact, EngineConfig::default(), norms).unwrap();
+        let owned = ShardRouter::open(&path, RouterConfig::default()).unwrap();
         let mapped =
             QueryEngine::from_mapped(open_mapped(&path).unwrap(), EngineConfig::default(), None)
                 .unwrap();
-        prop_assert!(mapped.store().is_mapped());
-        prop_assert!(!owned.store().is_mapped());
+        prop_assert_eq!(mapped.store_memory().stores, vec!["mapped".to_string()]);
+        prop_assert_eq!(owned.store_memory().stores, vec!["owned".to_string()]);
         prop_assert_eq!(
             answers(&owned, &w.probes, w.n),
             answers(&mapped, &w.probes, w.n)
@@ -154,13 +153,10 @@ proptest! {
             .unwrap();
 
         let (owned_artifact, norms) = Artifact::load_with_norms(&path).unwrap();
-        let owned = QueryEngine::with_index_and_norms(
-            owned_artifact,
+        let owned = QueryEngine::pinned(
+            ShardEngine::owned(owned_artifact, norms, Some(index.clone()), None).unwrap(),
             EngineConfig::default(),
-            index.clone(),
-            norms,
-        )
-        .unwrap();
+        );
         let mapped = QueryEngine::from_mapped(
             open_mapped(&path).unwrap(),
             EngineConfig::default(),
