@@ -582,9 +582,11 @@ mod tests {
             "kernel divergences: {:?}",
             report.divergences
         );
+        assert!(report.p50("spmv_sequential", 300).is_some());
         assert!(report.p50("spmv_pooled", 300).is_some());
         assert!(report.p50("multiview_spmv_fused", 300).is_some());
         assert!(report.p50("block_spmv_fused", 300).is_some());
+        assert!(report.p50("knn_pooled", 80).is_some());
         assert!(report.p50("netmf", 100).is_some());
         assert!(report.p50("lanczos", 300).is_some());
         let json = report.to_json(&config).to_string_pretty();

@@ -15,7 +15,6 @@
 use crate::{Result, SglaError};
 use mvag_graph::knn::{knn_graph, KnnConfig};
 use mvag_graph::{Mvag, View};
-use mvag_sparse::linop::ScaledSumOp;
 use mvag_sparse::{CsrMatrix, FusedSumOp};
 
 /// KNN construction parameters for attribute views.
@@ -241,19 +240,6 @@ impl ViewLaplacians {
         self.is_graph[i]
     }
 
-    /// A lazy aggregation operator `L(w) = Σ wᵢ Lᵢ` (Eq. 1) for the given
-    /// weights — no materialization, `O(Σ nnz)` per matvec.
-    ///
-    /// # Errors
-    /// [`SglaError::InvalidArgument`] on weight-length mismatch.
-    pub fn aggregate_op(&self, weights: &[f64]) -> Result<ScaledSumOp<'_>> {
-        self.check_weights(weights)?;
-        Ok(ScaledSumOp::new(
-            self.laplacians.iter().collect(),
-            weights.to_vec(),
-        ))
-    }
-
     /// A fused aggregation operator: pattern analysis runs once here,
     /// then [`FusedSumOp::set_weights`] refreshes the scratch CSR in
     /// `O(Σ nnz)` per weight vector while every matvec streams a single
@@ -288,11 +274,6 @@ impl ViewLaplacians {
         self.check_weights(weights)?;
         let refs: Vec<&CsrMatrix> = self.laplacians.iter().collect();
         Ok(CsrMatrix::linear_combination(&refs, weights)?)
-    }
-
-    /// The `r` changed-flags of a no-op refresh (rebuild everything).
-    pub fn all_changed(&self) -> Vec<bool> {
-        vec![true; self.r()]
     }
 
     fn check_weights(&self, weights: &[f64]) -> Result<()> {
@@ -439,7 +420,7 @@ mod tests {
         assert!(views.update(&updated, &knn, &[true]).is_err());
         assert!(ViewLaplacians::build(&updated, &knn)
             .unwrap()
-            .update(&base, &knn, &views.all_changed())
+            .update(&base, &knn, &vec![true; views.r()])
             .is_err());
     }
 
@@ -449,7 +430,7 @@ mod tests {
         let v = ViewLaplacians::build(&mvag, &KnnParams::default()).unwrap();
         let w = [0.6, 0.4];
         let mat = v.aggregate(&w).unwrap();
-        let op = v.aggregate_op(&w).unwrap();
+        let op = v.fused_op(&w).unwrap();
         let x: Vec<f64> = (0..8).map(|i| (i as f64).cos()).collect();
         let mut y1 = vec![0.0; 8];
         let mut y2 = vec![0.0; 8];

@@ -84,11 +84,6 @@ impl Value {
         }
     }
 
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Compact one-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut s = String::new();

@@ -125,11 +125,6 @@ impl Graph {
             .expect("identity and adjacency share shape")
     }
 
-    /// The symmetrically normalized adjacency `D^{-1/2} A D^{-1/2}`.
-    pub fn normalized_adjacency(&self) -> CsrMatrix {
-        self.adj.sym_normalized()
-    }
-
     /// Returns a graph on `n + added` nodes carrying every existing
     /// edge plus `new_edges` (undirected, symmetrized; weights of
     /// parallel edges are summed, exactly like [`Graph::from_edges`]).

@@ -335,7 +335,7 @@ impl IvfIndex {
             .iter()
             .map(|&c| self.offsets[c + 1] - self.offsets[c])
             .sum();
-        let scan_list = |c: usize, top: &mut TopK| -> usize {
+        let scan_list = |c: usize, top: &mut TopK<Scored>| -> usize {
             let mut scanned = 0usize;
             for &local in &self.ids[self.offsets[c]..self.offsets[c + 1]] {
                 let local = local as usize;
@@ -576,39 +576,61 @@ fn check_shape(emb: &DenseMatrix, row_start: usize, n: usize) -> Result<()> {
 /// ids, so the top-k of a union equals the merged top-k of any
 /// partition — the property list-parallel search, cross-shard
 /// merging, and the approx/exact bit-identity guarantee all rely on.
-/// This is the **single definition** of that order: the serving
-/// engine's exact-scan heap delegates here too.
+/// This is the **single definition** of that order; [`TopK`] is the
+/// one collection built on it.
 #[inline]
 pub fn ranks_before(score_a: f64, id_a: usize, score_b: f64, id_b: usize) -> bool {
     score_a > score_b || (score_a == score_b && id_a < id_b)
 }
 
-/// Bounded best-`k` collection under [`ranks_before`].
+/// A candidate that [`TopK`] can rank: its score and its id under
+/// [`ranks_before`].
+pub trait Ranked {
+    /// `(score, id)` in the serving total order.
+    fn rank_key(&self) -> (f64, usize);
+}
+
+impl Ranked for Scored {
+    fn rank_key(&self) -> (f64, usize) {
+        (self.score, self.id)
+    }
+}
+
+/// Bounded best-`k` collection under [`ranks_before`]: the one top-k
+/// collector behind IVF probe selection and list scans, the serving
+/// engine's exact scan, and the cross-shard merge. Because the order
+/// is total on distinct ids, the result does not depend on the order
+/// of the pushes. `k = 0` collects nothing.
 #[derive(Debug)]
-struct TopK {
+pub struct TopK<T> {
     k: usize,
     /// Worst-first sorted vec; `k` is request-sized, so O(k) insertion
     /// beats heap constant factors.
-    items: Vec<Scored>,
+    items: Vec<T>,
 }
 
-impl TopK {
-    fn new(k: usize) -> Self {
+impl<T: Ranked> TopK<T> {
+    /// An empty collection of at most `k` items.
+    pub fn new(k: usize) -> Self {
         TopK {
             k,
             items: Vec::with_capacity(k.min(1024) + 1),
         }
     }
 
-    fn better(a: &Scored, b: &Scored) -> bool {
-        ranks_before(a.score, a.id, b.score, b.id)
+    fn better(a: &T, b: &T) -> bool {
+        let ((score_a, id_a), (score_b, id_b)) = (a.rank_key(), b.rank_key());
+        ranks_before(score_a, id_a, score_b, id_b)
     }
 
-    fn push(&mut self, cand: Scored) {
+    /// Offers one candidate; it is kept while it ranks among the best
+    /// `k` seen so far.
+    pub fn push(&mut self, cand: T) {
         if self.k == 0 {
             return;
         }
         if self.items.len() == self.k {
+            // items[0] is the current worst.
             if !Self::better(&cand, &self.items[0]) {
                 return;
             }
@@ -622,7 +644,8 @@ impl TopK {
         self.items.insert(pos, cand);
     }
 
-    fn into_sorted(self) -> Vec<Scored> {
+    /// The kept items, best first.
+    pub fn into_sorted(self) -> Vec<T> {
         let mut v = self.items;
         v.reverse();
         v
@@ -688,7 +711,7 @@ mod tests {
                 }
             })
             .collect();
-        all.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap().then(a.id.cmp(&b.id)));
+        all.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
         all.truncate(k);
         all
     }

@@ -61,7 +61,7 @@ pub mod error;
 pub mod ivf;
 
 pub use error::IndexError;
-pub use ivf::{ranks_before, IvfConfig, IvfIndex, IvfSearchStats, Scored};
+pub use ivf::{ranks_before, IvfConfig, IvfIndex, IvfSearchStats, Ranked, Scored, TopK};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, IndexError>;

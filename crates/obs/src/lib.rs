@@ -163,17 +163,6 @@ pub fn span(name: &'static str) -> Span {
     span_slow(name, current_trace())
 }
 
-/// Opens a span on an explicit trace id regardless of the ambient one
-/// (for worker threads that received the id through a job, not a
-/// [`with_trace`] scope).
-#[inline]
-pub fn span_in(trace: u64, name: &'static str) -> Span {
-    if !enabled() {
-        return Span(None);
-    }
-    span_slow(name, trace)
-}
-
 #[cold]
 fn span_slow(name: &'static str, trace: u64) -> Span {
     let depth = DEPTH.with(|d| {

@@ -12,9 +12,9 @@
 //!   `h_Θ` of Eqs. (7)–(9): ridge-regularized regression of a quadratic in
 //!   the reduced weights, solved via Cholesky. Used by SGLA+.
 //!
-//! Plus supporting pieces: projection onto the probability simplex
-//! ([`simplex`]) and a penalty-based Nelder–Mead ([`neldermead`]) as an
-//! ablation baseline for the optimizer choice.
+//! Plus the supporting piece both algorithms share: the reduced
+//! coordinates of the probability simplex and projection onto it
+//! ([`simplex`]).
 
 #![forbid(unsafe_code)]
 // Indexed loops over matched row/column structures are the clearest idiom
@@ -26,7 +26,6 @@
 
 pub mod cobyla;
 pub mod error;
-pub mod neldermead;
 pub mod simplex;
 pub mod surrogate;
 

@@ -33,17 +33,6 @@ pub fn project_simplex(v: &mut [f64]) {
     }
 }
 
-/// Projects reduced coordinates `v ∈ R^{r−1}` onto the *reduced simplex*
-/// `{v : vᵢ ≥ 0, Σ vᵢ ≤ 1}` by lifting to the full simplex, projecting,
-/// and dropping the slack coordinate.
-pub fn project_reduced_simplex(v: &mut [f64]) {
-    let mut full = Vec::with_capacity(v.len() + 1);
-    full.extend_from_slice(v);
-    full.push(1.0 - v.iter().sum::<f64>());
-    project_simplex(&mut full);
-    v.copy_from_slice(&full[..v.len()]);
-}
-
 /// Expands reduced coordinates to the full weight vector
 /// `w = (v₁, …, v_{r−1}, 1 − Σ vᵢ)`.
 pub fn expand_weights(v: &[f64]) -> Vec<f64> {
@@ -51,12 +40,6 @@ pub fn expand_weights(v: &[f64]) -> Vec<f64> {
     w.extend_from_slice(v);
     w.push((1.0 - v.iter().sum::<f64>()).max(0.0));
     w
-}
-
-/// Reduces a full weight vector to its first `r − 1` coordinates.
-pub fn reduce_weights(w: &[f64]) -> Vec<f64> {
-    debug_assert!(!w.is_empty());
-    w[..w.len() - 1].to_vec()
 }
 
 /// Whether `w` lies on the probability simplex within tolerance.
@@ -125,20 +108,19 @@ mod tests {
 
     #[test]
     fn reduced_projection() {
-        let mut v = vec![0.8, 0.8]; // sum 1.6 > 1
-        project_reduced_simplex(&mut v);
-        assert!(v.iter().all(|&x| x >= 0.0));
-        assert!(v.iter().sum::<f64>() <= 1.0 + 1e-12);
+        // Reduced coordinates outside the reduced simplex, expanded and
+        // projected the way SGLA+ finishes its surrogate step.
+        let mut w = expand_weights(&[0.8, 0.8]); // sum 1.6 > 1
+        project_simplex(&mut w);
+        assert!(is_on_simplex(&w, 1e-12));
         // Symmetric input stays symmetric.
-        assert!((v[0] - v[1]).abs() < 1e-12);
+        assert!((w[0] - w[1]).abs() < 1e-12);
     }
 
     #[test]
     fn expand_reduce_roundtrip() {
-        let w = vec![0.2, 0.3, 0.5];
-        let v = reduce_weights(&w);
-        assert_eq!(v, vec![0.2, 0.3]);
-        let w2 = expand_weights(&v);
+        let w = [0.2, 0.3, 0.5];
+        let w2 = expand_weights(&w[..2]);
         for (a, b) in w.iter().zip(&w2) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -77,7 +77,7 @@ struct Shared {
 /// );
 ///
 /// let batcher = Batcher::new(engine.clone(), 16);
-/// let via_batcher = batcher.top_k(5, 3).unwrap();
+/// let via_batcher = batcher.top_k(5, 3).0.unwrap();
 /// assert_eq!(via_batcher, engine.top_k_similar(5, 3).unwrap());
 /// ```
 pub struct Batcher {
@@ -117,35 +117,25 @@ impl Batcher {
     }
 
     /// Enqueues one exact query and blocks until its answer arrives.
+    /// The answer comes with the query's cost profile: the shared
+    /// kernel pass's backend counters with this member's own queue
+    /// wait and compute time. Accounting never perturbs results.
     ///
     /// # Errors
     /// Query errors from the engine; [`crate::ServeError::Server`] if
     /// the batcher is shutting down.
-    pub fn top_k(&self, node: usize, k: usize) -> Result<Vec<Neighbor>> {
-        self.submit(node, k, Mode::Exact).0
+    pub fn top_k(&self, node: usize, k: usize) -> (Result<Vec<Neighbor>>, QueryCost) {
+        self.submit(node, k, Mode::Exact)
     }
 
     /// Enqueues one approximate (IVF-probed) query and blocks until
-    /// its answer arrives. `nprobe = 0` uses the backend's default
-    /// probe width.
+    /// its answer and cost profile arrive. `nprobe = 0` uses the
+    /// backend's default probe width.
     ///
     /// # Errors
     /// Query errors from the engine (including "no index attached");
     /// [`crate::ServeError::Server`] if the batcher is shutting down.
-    pub fn top_k_approx(&self, node: usize, k: usize, nprobe: usize) -> Result<Vec<Neighbor>> {
-        self.submit(node, k, Mode::Approx { nprobe }).0
-    }
-
-    /// [`Batcher::top_k`] plus the query's cost profile: the shared
-    /// kernel pass's backend counters with this member's own queue
-    /// wait and compute time. The answer is exactly what `top_k`
-    /// returns — accounting never perturbs results.
-    pub fn top_k_explained(&self, node: usize, k: usize) -> (Result<Vec<Neighbor>>, QueryCost) {
-        self.submit(node, k, Mode::Exact)
-    }
-
-    /// [`Batcher::top_k_approx`] plus the query's cost profile.
-    pub fn top_k_approx_explained(
+    pub fn top_k_approx(
         &self,
         node: usize,
         k: usize,
@@ -347,7 +337,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..25usize {
                     let node = (t * 25 + i) % 60;
-                    let got = batcher.top_k(node, 5).unwrap();
+                    let got = batcher.top_k(node, 5).0.unwrap();
                     let want = engine.top_k_similar(node, 5).unwrap();
                     assert_eq!(got, want, "node {node}");
                 }
@@ -383,11 +373,11 @@ mod tests {
                 for i in 0..20usize {
                     let node = (t * 20 + i) % 60;
                     if (t + i) % 2 == 0 {
-                        let got = batcher.top_k(node, 5).unwrap();
+                        let got = batcher.top_k(node, 5).0.unwrap();
                         assert_eq!(got, engine.top_k_similar(node, 5).unwrap());
                     } else {
                         // Full probe: deterministic, equals exact.
-                        let got = batcher.top_k_approx(node, 5, usize::MAX).unwrap();
+                        let got = batcher.top_k_approx(node, 5, usize::MAX).0.unwrap();
                         assert_eq!(got, engine.top_k_similar(node, 5).unwrap());
                     }
                 }
@@ -404,8 +394,8 @@ mod tests {
     fn invalid_queries_get_their_own_error() {
         let engine = engine();
         let batcher = Batcher::new(engine, 8);
-        assert!(batcher.top_k(10_000, 5).is_err());
-        assert!(batcher.top_k(0, 5).is_ok());
+        assert!(batcher.top_k(10_000, 5).0.is_err());
+        assert!(batcher.top_k(0, 5).0.is_ok());
     }
 
     #[test]
@@ -413,6 +403,6 @@ mod tests {
         let engine = engine();
         let mut batcher = Batcher::new(engine, 8);
         batcher.shutdown();
-        assert!(batcher.top_k(0, 5).is_err());
+        assert!(batcher.top_k(0, 5).0.is_err());
     }
 }

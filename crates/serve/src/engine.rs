@@ -22,7 +22,7 @@ use crate::artifact::Artifact;
 use crate::router::ShardRouter;
 use crate::store::{EmbeddingStore, MappedArtifact};
 use crate::{Result, ServeError};
-use mvag_index::{IvfConfig, IvfIndex, IvfSearchStats};
+use mvag_index::{IvfConfig, IvfIndex, IvfSearchStats, Ranked, TopK};
 use mvag_sparse::{vecops, DenseMatrix};
 
 /// Rows per block in the blocked scoring kernel.
@@ -313,7 +313,7 @@ impl ShardEngine {
         let norms = self.store.norms();
         let rows = self.artifact.meta.rows();
         let offset = self.artifact.meta.row_start;
-        let mut heaps: Vec<TopKHeap> = jobs.iter().map(|j| TopKHeap::new(j.k)).collect();
+        let mut heaps: Vec<TopK<Neighbor>> = jobs.iter().map(|j| TopK::new(j.k)).collect();
         for block_start in (0..rows).step_by(BLOCK_ROWS) {
             let block_end = (block_start + BLOCK_ROWS).min(rows);
             for (job, heap) in jobs.iter().zip(heaps.iter_mut()) {
@@ -335,7 +335,7 @@ impl ShardEngine {
                 }
             }
         }
-        heaps.into_iter().map(TopKHeap::into_sorted).collect()
+        heaps.into_iter().map(TopK::into_sorted).collect()
     }
 
     /// The approximate counterpart of [`ShardEngine::scan`] for one
@@ -401,57 +401,12 @@ pub(crate) struct VectorJob<'a> {
     pub(crate) nprobe: usize,
 }
 
-/// Bounded worst-out collection of the best `k` neighbours under the
-/// serving total order ([`mvag_index::ranks_before`] — the single
-/// definition shared with the IVF search path, so exact and approx
-/// results can never diverge on ordering): higher score wins; equal
-/// scores prefer the smaller node id (total, deterministic order —
-/// embedding scores are finite by construction). Also used by the
-/// front end to merge per-shard top-k lists: the order is total on
-/// distinct node ids, so the top-k of a union equals the top-k of the
-/// per-shard top-k's regardless of insertion order.
-#[derive(Debug)]
-pub(crate) struct TopKHeap {
-    k: usize,
-    /// Kept worst-first (simple insertion into a sorted Vec; `k` is
-    /// request-sized — tens, not thousands — so O(k) insert is fine
-    /// and beats heap constant factors at this size).
-    items: Vec<Neighbor>,
-}
-
-impl TopKHeap {
-    pub(crate) fn new(k: usize) -> Self {
-        TopKHeap {
-            k,
-            items: Vec::with_capacity(k + 1),
-        }
-    }
-
-    fn better(a: &Neighbor, b: &Neighbor) -> bool {
-        mvag_index::ranks_before(a.score, a.node, b.score, b.node)
-    }
-
-    pub(crate) fn push(&mut self, cand: Neighbor) {
-        if self.items.len() == self.k {
-            // items[0] is the current worst.
-            if !Self::better(&cand, &self.items[0]) {
-                return;
-            }
-            self.items.remove(0);
-        }
-        let pos = self
-            .items
-            .iter()
-            .position(|existing| Self::better(existing, &cand))
-            .unwrap_or(self.items.len());
-        self.items.insert(pos, cand);
-    }
-
-    pub(crate) fn into_sorted(self) -> Vec<Neighbor> {
-        // Stored worst-first; answer is best-first.
-        let mut v = self.items;
-        v.reverse();
-        v
+/// The serving total order ([`mvag_index::ranks_before`]) ranks
+/// neighbours by score, then node id, so exact and approximate results
+/// can never diverge on ordering.
+impl Ranked for Neighbor {
+    fn rank_key(&self) -> (f64, usize) {
+        (self.score, self.node)
     }
 }
 
@@ -487,12 +442,7 @@ mod tests {
                 score: vecops::cosine(emb.row(q), emb.row(i)),
             })
             .collect();
-        all.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap()
-                .then(a.node.cmp(&b.node))
-        });
+        all.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
         all.truncate(k);
         all
     }
@@ -714,7 +664,7 @@ mod tests {
 
     #[test]
     fn topk_heap_orders_and_bounds() {
-        let mut h = TopKHeap::new(3);
+        let mut h = TopK::new(3);
         for (node, score) in [(0, 0.1), (1, 0.9), (2, 0.5), (3, 0.9), (4, -0.2)] {
             h.push(Neighbor { node, score });
         }

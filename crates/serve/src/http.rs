@@ -774,12 +774,8 @@ fn route(
         ("GET", ["topk", node]) => match (parse_node(node), parse_topk_params(&request.query)) {
             (Ok(node), Ok(params)) => {
                 let (answer, cost) = match params.mode {
-                    TopKMode::Exact => shared.batcher.top_k_explained(node, params.k),
-                    TopKMode::Approx => {
-                        shared
-                            .batcher
-                            .top_k_approx_explained(node, params.k, params.nprobe)
-                    }
+                    TopKMode::Exact => shared.batcher.top_k(node, params.k),
+                    TopKMode::Approx => shared.batcher.top_k_approx(node, params.k, params.nprobe),
                 };
                 match answer {
                     Ok(neighbors) => {

@@ -68,15 +68,14 @@ use crate::artifact::{Artifact, ArtifactMeta, FORMAT_VERSION, FORMAT_VERSION_V2}
 use crate::backend::{IndexStats, QueryBackend};
 use crate::cost::QueryCost;
 use crate::engine::{
-    no_index_error, ApproxQuery, ClusterInfo, EngineConfig, Neighbor, ShardEngine, TopKHeap,
-    VectorJob,
+    no_index_error, ApproxQuery, ClusterInfo, EngineConfig, Neighbor, ShardEngine, VectorJob,
 };
 use crate::lru::LruCache;
 use crate::store::{MappedArtifact, MmapMode, StoreMemory};
 use crate::{Result, ServeError};
 use mvag_data::manifest::{ShardEntry, ShardManifest};
 use mvag_data::IdMap;
-use mvag_index::IvfIndex;
+use mvag_index::{IvfIndex, TopK};
 use mvag_sparse::parallel;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -713,7 +712,7 @@ impl ShardRouter {
             (0..tasks).map(task).collect()
         };
         let _merge = mvag_obs::span("serve.merge");
-        let mut heaps: Vec<TopKHeap> = jobs.iter().map(|j| TopKHeap::new(j.k)).collect();
+        let mut heaps: Vec<TopK<Neighbor>> = jobs.iter().map(|j| TopK::new(j.k)).collect();
         for (t, partials) in per_task.into_iter().enumerate() {
             let first = (t % chunks.len()) * chunk_len;
             for (heap, p) in heaps[first..].iter_mut().zip(partials?) {
@@ -733,7 +732,7 @@ impl ShardRouter {
                 }
             }
         }
-        Ok(heaps.into_iter().map(TopKHeap::into_sorted).collect())
+        Ok(heaps.into_iter().map(TopK::into_sorted).collect())
     }
 
     /// Shared tail of both top-k paths: admits each query, serves cache

@@ -6,7 +6,7 @@
 //! normalization helpers, and cheap structural queries.
 
 use crate::parallel::par_chunks_mut;
-use crate::{CooMatrix, DenseMatrix, Result, SparseError};
+use crate::{DenseMatrix, Result, SparseError};
 
 /// A sparse matrix in CSR (compressed sparse row) format.
 ///
@@ -88,7 +88,7 @@ impl CsrMatrix {
     }
 
     /// Builds a CSR matrix from parts already known to satisfy the
-    /// invariants (used by [`CooMatrix::to_csr`] which constructs them by
+    /// invariants (used by [`crate::CooMatrix::to_csr`] which constructs them by
     /// construction). Debug builds still verify.
     pub(crate) fn from_raw_parts_unchecked(
         nrows: usize,
@@ -131,17 +131,6 @@ impl CsrMatrix {
             cols: Vec::new(),
             vals: Vec::new(),
         }
-    }
-
-    /// A diagonal matrix with the given diagonal (zeros are kept implicit).
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let mut coo = CooMatrix::with_capacity(diag.len(), diag.len(), diag.len());
-        for (i, &d) in diag.iter().enumerate() {
-            if d != 0.0 {
-                coo.push(i, i, d).expect("in bounds by construction");
-            }
-        }
-        coo.to_csr()
     }
 
     /// Number of rows.
@@ -527,6 +516,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CooMatrix;
 
     fn sample() -> CsrMatrix {
         // [ 1 0 2 ]
@@ -689,14 +679,6 @@ mod tests {
         let a = sample();
         assert_eq!(a.diag(), vec![1.0, 0.0, 0.0]);
         assert_eq!(a.row_sums(), vec![3.0, 3.0, 9.0]);
-    }
-
-    #[test]
-    fn from_diag_skips_zeros() {
-        let d = CsrMatrix::from_diag(&[1.0, 0.0, 2.0]);
-        assert_eq!(d.nnz(), 2);
-        assert_eq!(d.get(1, 1), 0.0);
-        assert_eq!(d.get(2, 2), 2.0);
     }
 
     #[test]

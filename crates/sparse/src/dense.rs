@@ -229,16 +229,6 @@ impl DenseMatrix {
         crate::vecops::norm2(&self.data)
     }
 
-    /// Elementwise maximum with a scalar, in place (used by NetMF's
-    /// `max(M, 1)` truncation).
-    pub fn clamp_min(&mut self, lo: f64) {
-        for v in &mut self.data {
-            if *v < lo {
-                *v = lo;
-            }
-        }
-    }
-
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
         for v in &mut self.data {
@@ -356,7 +346,7 @@ mod tests {
     #[test]
     fn clamp_and_map() {
         let mut m = DenseMatrix::from_rows(&[vec![0.5, 2.0]]).unwrap();
-        m.clamp_min(1.0);
+        m.map_inplace(|x| x.max(1.0));
         assert_eq!(m.row(0), &[1.0, 2.0]);
         m.map_inplace(|x| x.ln());
         assert_eq!(m[(0, 0)], 0.0);
