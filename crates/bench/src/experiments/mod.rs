@@ -1,6 +1,7 @@
-//! One module per paper artifact (table/figure); see DESIGN.md §4 for the
-//! experiment index. Each module exposes `run(&ExpArgs)`; the `exp_*`
-//! binaries are thin wrappers and `exp_all` chains everything.
+//! One module per paper artifact (table/figure), so the module list
+//! below is the experiment index. Each module exposes `run(&ExpArgs)`;
+//! the `exp_*` binaries are thin wrappers and `exp_all` chains
+//! everything (see README "Benchmarks").
 
 pub mod fig10;
 pub mod fig11;

@@ -1,7 +1,7 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Shared machinery for the `exp_*` binaries (one per table/figure — see
-//! DESIGN.md §4's experiment index) and the `kernel_bench`,
+//! Shared machinery for the `exp_*` binaries (one per table/figure —
+//! [`experiments`] is the index) and the `kernel_bench`,
 //! `serve_bench` and `update_bench` binaries:
 //!
 //! * [`pipeline`] — end-to-end clustering and embedding runs for SGLA,

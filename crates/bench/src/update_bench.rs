@@ -17,8 +17,8 @@
 //! reported: cluster labels must agree after Hungarian alignment
 //! (≥ [`MIN_LABEL_AGREEMENT`]), the embedding must span the same
 //! subspace (projection residual ≤ [`MAX_SUBSPACE_RESIDUAL`]), and
-//! the updated artifact must round-trip the v3 codec with its lineage
-//! counter bumped. A run whose warm update is not faster than the
+//! the updated artifact must round-trip the artifact codec with its
+//! lineage counter bumped. A run whose warm update is not faster than the
 //! retrain fails (`--smoke`); the full run additionally enforces the
 //! committed ≤ [`MAX_WARM_RATIO`] speedup target. Results land in
 //! `BENCH_update.json`.
@@ -256,7 +256,7 @@ pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, String> {
     let roundtrip = Artifact::decode(updated.encode().map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;
     if roundtrip != updated {
-        return Err("updated artifact did not round-trip the v3 codec bit-exactly".into());
+        return Err("updated artifact did not round-trip the artifact codec bit-exactly".into());
     }
     let label_agreement = aligned_agreement(&updated.labels, &retrained.labels, config.k);
     if label_agreement < MIN_LABEL_AGREEMENT {

@@ -215,7 +215,7 @@ fn discretize(u: &DenseMatrix, seed: u64) -> Result<Vec<usize>> {
             c[i] += dot.abs();
         }
         let pick = (0..n)
-            .min_by(|&a, &b| c[a].partial_cmp(&c[b]).expect("finite"))
+            .min_by(|&a, &b| c[a].total_cmp(&c[b]))
             .expect("n >= 1");
         for j in 0..k {
             r[(j, col)] = u[(pick, j)];

@@ -15,8 +15,8 @@
 //!   (whose sparse-sign sketching we do not reproduce): the bottom
 //!   eigenpairs of `L` scaled by the DeepWalk spectral filter
 //!   `f(λ) = (1/T) Σ_t (1−λ)ᵗ`. This keeps the same spectral content as
-//!   NetMF's similarity but skips the elementwise log (DESIGN.md §3
-//!   documents the substitution). `O(dim · nnz)` per Lanczos pass.
+//!   NetMF's similarity but skips the elementwise log. `O(dim · nnz)`
+//!   per Lanczos pass.
 //!
 //! The integrated graph is recovered from `L` as `Â = −offdiag(L)`, which
 //! for an aggregation of normalized Laplacians is exactly the weighted sum

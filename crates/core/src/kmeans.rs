@@ -125,7 +125,7 @@ fn lloyd(
             if counts[c] == 0 {
                 // Reseed an empty cluster at the farthest point.
                 let far = (0..n)
-                    .max_by(|&a, &b| dists[a].partial_cmp(&dists[b]).expect("finite"))
+                    .max_by(|&a, &b| dists[a].total_cmp(&dists[b]))
                     .expect("n >= 1");
                 centroids.row_mut(c).copy_from_slice(data.row(far));
                 dists[far] = 0.0;

@@ -1,8 +1,10 @@
 //! Shared helpers for the hand-rolled binary codecs.
 //!
-//! Used by the MVAG persistence in [`crate::io`] and by the
-//! `sgla-serve` artifact store, so the length-prefixed string framing
-//! and the overflow-safe count-prefixed readers exist exactly once.
+//! Used by the MVAG persistence in [`crate::io`], the delta codec, the
+//! IVF index and the `sgla-serve` artifact store, so the sealed
+//! container framing ([`seal`] / [`unseal`]), the length-prefixed
+//! string framing and the overflow-safe count-prefixed readers exist
+//! exactly once.
 //! Every reader bounds-checks against `remaining()` with checked
 //! arithmetic before allocating — a hostile length field must produce
 //! a `None`, never a panic or a huge allocation.
@@ -23,6 +25,62 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// Length of a sealed container's fixed header: magic (4) + version
+/// (2) + body length (8) + body CRC-32 (4), all big-endian.
+pub const SEAL_HEADER_LEN: usize = 18;
+
+/// Frames `body` as a sealed container: magic, version, body length
+/// and the body's CRC-32, then the body.
+pub fn seal(magic: u32, version: u16, body: &[u8]) -> Bytes {
+    let mut out = BytesMut::with_capacity(SEAL_HEADER_LEN + body.len());
+    out.put_u32(magic);
+    out.put_u16(version);
+    out.put_u64(body.len() as u64);
+    out.put_u32(crc32(body));
+    out.put_slice(body);
+    out.freeze()
+}
+
+/// Checks a sealed container's header — length, magic and body
+/// length — without reading the body, and returns its version. For
+/// readers that verify the body piecewise (a memory-mapped file must
+/// not fault every page for one CRC); everyone else calls [`unseal`].
+/// Errors are messages naming the container as `noun` ("artifact",
+/// "delta", ...), for the caller to wrap in its own error type.
+pub fn seal_version(raw: &[u8], magic: u32, noun: &str) -> std::result::Result<u16, String> {
+    if raw.len() < SEAL_HEADER_LEN {
+        return Err("shorter than the fixed header".into());
+    }
+    let be = |range: std::ops::Range<usize>| {
+        raw[range]
+            .iter()
+            .fold(0u64, |acc, &b| (acc << 8) | u64::from(b))
+    };
+    if be(0..4) != u64::from(magic) {
+        return Err(format!("bad magic (not an SGLA {noun})"));
+    }
+    let (header, actual) = (be(6..14), raw.len() - SEAL_HEADER_LEN);
+    if header != actual as u64 {
+        return Err(format!(
+            "body length mismatch: header says {header}, got {actual}"
+        ));
+    }
+    Ok(be(4..6) as u16)
+}
+
+/// Opens a sealed container: checks the header ([`seal_version`]) and
+/// the body's CRC-32, then returns the version and the body. Which
+/// versions are acceptable is the caller's decision.
+pub fn unseal(bytes: Bytes, magic: u32, noun: &str) -> std::result::Result<(u16, Bytes), String> {
+    let version = seal_version(bytes.as_ref(), magic, noun)?;
+    let expect = u32::from_be_bytes(bytes.as_ref()[14..18].try_into().expect("4 bytes"));
+    let body = bytes.slice(SEAL_HEADER_LEN..);
+    if crc32(body.as_ref()) != expect {
+        return Err(format!("checksum mismatch ({noun} bytes were altered)"));
+    }
+    Ok((version, body))
 }
 
 /// Appends a u32-length-prefixed UTF-8 string.
@@ -137,6 +195,65 @@ mod tests {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    const MAGIC: u32 = 0x5445_5354; // "TEST"
+
+    #[test]
+    fn seal_roundtrip_and_layout() {
+        let sealed = seal(MAGIC, 3, b"payload");
+        assert_eq!(sealed.len(), SEAL_HEADER_LEN + 7);
+        assert_eq!(&sealed.as_ref()[..4], b"TEST");
+        assert_eq!(&sealed.as_ref()[4..6], &3u16.to_be_bytes());
+        assert_eq!(&sealed.as_ref()[6..14], &7u64.to_be_bytes());
+        assert_eq!(&sealed.as_ref()[14..18], &crc32(b"payload").to_be_bytes());
+        assert_eq!(seal_version(sealed.as_ref(), MAGIC, "test"), Ok(3));
+        let (version, body) = unseal(sealed, MAGIC, "test").unwrap();
+        assert_eq!(version, 3);
+        assert_eq!(body.as_ref(), b"payload");
+        let (_, empty) = unseal(seal(MAGIC, 1, b""), MAGIC, "test").unwrap();
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn unseal_rejects_every_truncation() {
+        let sealed = seal(MAGIC, 1, b"abc").to_vec();
+        for len in 0..sealed.len() {
+            let err = unseal(Bytes::from(sealed[..len].to_vec()), MAGIC, "test").unwrap_err();
+            let want = if len < SEAL_HEADER_LEN {
+                "shorter than the fixed header"
+            } else {
+                "body length mismatch"
+            };
+            assert!(err.starts_with(want), "prefix {len}: {err}");
+        }
+    }
+
+    #[test]
+    fn unseal_rejects_flips_and_foreign_headers() {
+        let sealed = seal(MAGIC, 2, b"some body bytes").to_vec();
+        let open = |raw: Vec<u8>, magic: u32| unseal(Bytes::from(raw), magic, "delta");
+        let altered = Err("checksum mismatch (delta bytes were altered)".to_string());
+        for pos in SEAL_HEADER_LEN..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[pos] ^= 0x10;
+            assert_eq!(open(bad, MAGIC), altered, "body byte {pos}");
+        }
+        // A flipped CRC byte is a checksum failure too.
+        let mut bad = sealed.clone();
+        bad[16] ^= 0x01;
+        assert_eq!(open(bad, MAGIC), altered);
+        // Wrong magic, in the bytes or in the caller's expectation.
+        let magic = Err("bad magic (not an SGLA delta)".to_string());
+        let mut bad = sealed.clone();
+        bad[0] = b'X';
+        assert_eq!(open(bad, MAGIC), magic);
+        assert_eq!(open(sealed.clone(), MAGIC + 1), magic);
+        // The version is not covered by the CRC: a changed one comes
+        // back for the caller to accept or refuse.
+        let mut other = sealed.clone();
+        other[5] = 9;
+        assert_eq!(open(other, MAGIC).unwrap().0, 9);
     }
 
     #[test]

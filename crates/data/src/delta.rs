@@ -25,7 +25,7 @@
 //!   before the label flag. See `docs/ARCHITECTURE.md` for the
 //!   byte-level spec.
 
-use crate::codec::{crc32, get_f64s, get_u64s};
+use crate::codec::{get_f64s, get_u64s, seal, unseal};
 use crate::{DataError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mvag_graph::{DeltaEdit, MvagDelta, ViewDelta};
@@ -112,14 +112,7 @@ pub fn encode_delta(delta: &MvagDelta) -> Bytes {
         }
         None => body.put_u8(0),
     }
-    let body = body.freeze();
-    let mut out = BytesMut::with_capacity(body.len() + 18);
-    out.put_u32(MAGIC);
-    out.put_u16(DELTA_FORMAT_VERSION);
-    out.put_u64(body.len() as u64);
-    out.put_u32(crc32(body.as_ref()));
-    out.put_slice(body.as_ref());
-    out.freeze()
+    seal(MAGIC, DELTA_FORMAT_VERSION, body.freeze().as_ref())
 }
 
 /// Decodes a delta, verifying magic, version, length, and checksum
@@ -132,31 +125,14 @@ pub fn encode_delta(delta: &MvagDelta) -> Bytes {
 /// [`DataError::Corrupt`] on any framing, checksum, or structural
 /// problem — truncation and byte flips always yield this typed error,
 /// never a panic or a mis-framed decode.
-pub fn decode_delta(mut bytes: Bytes) -> Result<MvagDelta> {
+pub fn decode_delta(bytes: Bytes) -> Result<MvagDelta> {
     let fail = |msg: &str| DataError::Corrupt(format!("MVAG delta: {msg}"));
-    if bytes.remaining() < 18 {
-        return Err(fail("shorter than the fixed header"));
-    }
-    if bytes.get_u32() != MAGIC {
-        return Err(fail("bad magic (not an SGLA delta)"));
-    }
-    let version = bytes.get_u16();
+    let (version, mut bytes) = unseal(bytes, MAGIC, "delta").map_err(|e| fail(&e))?;
     if version != DELTA_FORMAT_VERSION && version != DELTA_FORMAT_VERSION_V1 {
         return Err(fail(&format!(
             "unsupported format version {version} (expected {DELTA_FORMAT_VERSION_V1} or \
              {DELTA_FORMAT_VERSION})"
         )));
-    }
-    let body_len = bytes.get_u64();
-    let expect_crc = bytes.get_u32();
-    if bytes.remaining() as u64 != body_len {
-        return Err(fail(&format!(
-            "body length mismatch: header says {body_len}, got {}",
-            bytes.remaining()
-        )));
-    }
-    if crc32(bytes.as_ref()) != expect_crc {
-        return Err(fail("checksum mismatch (delta bytes were altered)"));
     }
     if bytes.remaining() < 8 {
         return Err(fail("truncated counts"));
@@ -387,14 +363,7 @@ mod tests {
             }
             None => body.put_u8(0),
         }
-        let body = body.freeze();
-        let mut out = BytesMut::with_capacity(body.len() + 18);
-        out.put_u32(MAGIC);
-        out.put_u16(DELTA_FORMAT_VERSION_V1);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        out.freeze()
+        seal(MAGIC, DELTA_FORMAT_VERSION_V1, body.freeze().as_ref())
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! generates synthetic stand-ins that match each dataset's **shape** —
 //! node count, number and kind of views, per-view edge density, attribute
 //! dimensionality, cluster count — plus per-view informativeness imbalance
-//! (see DESIGN.md §3 for the substitution rationale and the documented
+//! (see [`registry`] for the substitution rationale and the documented
 //! scale-downs for the MAG-scale datasets).
 //!
 //! * [`registry`] — one [`registry::DatasetSpec`] per paper dataset, with
@@ -18,7 +18,7 @@
 //!   [`MvagDelta`](mvag_graph::MvagDelta)s (appends, tombstone
 //!   removals, edge/row edits), the replayable unit of the
 //!   incremental artifact-update pipeline;
-//! * [`manifest`] — the JSON shard manifest of the sharded (v2)
+//! * [`manifest`] — the JSON shard manifest of the sharded
 //!   artifact layout served by `sgla-serve`;
 //! * [`idmap`] — the id-remap sidecar a compaction writes so
 //!   unrewritten shard files can be rebased at load time;

@@ -1,4 +1,4 @@
-//! The shard manifest of a sharded (v2) artifact layout.
+//! The shard manifest of a sharded artifact layout.
 //!
 //! A trained artifact too large for one host is split by contiguous
 //! row ranges into shard files, and a small JSON manifest describes

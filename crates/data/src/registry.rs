@@ -5,7 +5,7 @@
 //! generate a synthetic MVAG with the same shape. Densities are expressed
 //! as average degrees so that scaling `n` preserves sparsity structure.
 //!
-//! Documented deviations (cf. DESIGN.md §3):
+//! Documented deviations:
 //! * MAG-eng / MAG-phy are scaled ~150× down in `n` (1.8M → 12k,
 //!   2.35M → 15k) with per-view average degrees preserved, and their
 //!   cluster counts reduced proportionally (55 → 12, 22 → 10) so clusters

@@ -2,7 +2,8 @@
 //!
 //! The paper's eight datasets are real-world MVAGs that are not
 //! redistributable here; per the reproduction's substitution policy
-//! (DESIGN.md §3) we generate synthetic views that match each dataset's
+//! (the deviations are listed in `mvag_data::registry`) we generate
+//! synthetic views that match each dataset's
 //! *shape*: node count, per-view edge density, attribute dimensionality and
 //! kind, cluster count — plus per-view **informativeness imbalance**, the
 //! property SGLA's weighting actually exploits (cf. the paper's Figure 2,

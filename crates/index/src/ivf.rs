@@ -3,7 +3,7 @@
 
 use crate::{IndexError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use mvag_data::codec::{crc32, get_f64s, get_u32s, get_u64s};
+use mvag_data::codec::{get_f64s, get_u32s, get_u64s, seal, unseal};
 use mvag_sparse::{parallel, vecops, DenseMatrix, RowMatrix};
 use sgla_core::kmeans::{kmeans, KMeansParams};
 use std::path::Path;
@@ -394,8 +394,8 @@ impl IvfIndex {
     }
 
     // -----------------------------------------------------------------
-    // Codec (workspace conventions: magic + version + length + CRC-32,
-    // bounds-checked body reads).
+    // Codec: the workspace's sealed container (`mvag_data::codec::seal`)
+    // around a bounds-checked body.
 
     /// Encodes the index into the versioned, checksummed binary format.
     pub fn encode(&self) -> Bytes {
@@ -415,14 +415,7 @@ impl IvfIndex {
         for &id in &self.ids {
             body.put_u32(id);
         }
-        let body = body.freeze();
-        let mut out = BytesMut::with_capacity(body.len() + 18);
-        out.put_u32(MAGIC);
-        out.put_u16(INDEX_FORMAT_VERSION);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        out.freeze()
+        seal(MAGIC, INDEX_FORMAT_VERSION, body.freeze().as_ref())
     }
 
     /// Decodes and structurally validates an index: magic, version,
@@ -432,30 +425,13 @@ impl IvfIndex {
     ///
     /// # Errors
     /// [`IndexError::Corrupt`] on any structural problem.
-    pub fn decode(mut bytes: Bytes) -> Result<IvfIndex> {
+    pub fn decode(bytes: Bytes) -> Result<IvfIndex> {
         let fail = |msg: &str| IndexError::Corrupt(msg.to_string());
-        if bytes.remaining() < 18 {
-            return Err(fail("shorter than the fixed header"));
-        }
-        if bytes.get_u32() != MAGIC {
-            return Err(fail("bad magic (not an SGLA IVF index)"));
-        }
-        let version = bytes.get_u16();
+        let (version, mut bytes) = unseal(bytes, MAGIC, "IVF index").map_err(|e| fail(&e))?;
         if version != INDEX_FORMAT_VERSION {
             return Err(fail(&format!(
                 "unsupported index format version {version} (expected {INDEX_FORMAT_VERSION})"
             )));
-        }
-        let body_len = bytes.get_u64();
-        let expect_crc = bytes.get_u32();
-        if bytes.remaining() as u64 != body_len {
-            return Err(fail(&format!(
-                "body length mismatch: header says {body_len}, got {}",
-                bytes.remaining()
-            )));
-        }
-        if crc32(bytes.as_ref()) != expect_crc {
-            return Err(fail("checksum mismatch (index bytes were altered)"));
         }
         if bytes.remaining() < 48 {
             return Err(fail("truncated meta"));

@@ -24,7 +24,7 @@
 //!   ascending) as the exact engine, so the answer is **bit-identical**
 //!   to a full scan — the degradation knob goes all the way to "off".
 //! * **Row-range sharding.** An index covers the same
-//!   `[row_start, row_end)` global row range as a v2 artifact shard and
+//!   `[row_start, row_end)` global row range as an artifact shard and
 //!   reports global ids, so a shard router can fan one query out across
 //!   per-shard indexes and merge, exactly as it does for exact scans.
 //!

@@ -212,17 +212,13 @@ where
     let winner = simplex
         .iter()
         .filter(|pt| pt.violation() <= feas_tol)
-        .min_by(|a, b| a.f.partial_cmp(&b.f).expect("finite"))
+        .min_by(|a, b| a.f.total_cmp(&b.f))
         .unwrap_or_else(|| {
             // No feasible vertex: return the least-violating one so the
             // caller at least gets a near-feasible point.
             simplex
                 .iter()
-                .min_by(|a, b| {
-                    a.violation()
-                        .partial_cmp(&b.violation())
-                        .expect("finite violation")
-                })
+                .min_by(|a, b| a.violation().total_cmp(&b.violation()))
                 .expect("simplex non-empty")
         });
     Ok(CobylaResult {
@@ -344,7 +340,7 @@ fn argmin_merit(simplex: &[Point], mu: f64) -> usize {
     simplex
         .iter()
         .enumerate()
-        .min_by(|(_, a), (_, b)| a.merit(mu).partial_cmp(&b.merit(mu)).expect("finite merit"))
+        .min_by(|(_, a), (_, b)| a.merit(mu).total_cmp(&b.merit(mu)))
         .expect("non-empty simplex")
         .0
 }
@@ -353,7 +349,7 @@ fn argmax_merit(simplex: &[Point], mu: f64) -> usize {
     simplex
         .iter()
         .enumerate()
-        .max_by(|(_, a), (_, b)| a.merit(mu).partial_cmp(&b.merit(mu)).expect("finite merit"))
+        .max_by(|(_, a), (_, b)| a.merit(mu).total_cmp(&b.merit(mu)))
         .expect("non-empty simplex")
         .0
 }

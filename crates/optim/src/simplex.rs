@@ -15,7 +15,7 @@ pub fn project_simplex(v: &mut [f64]) {
         return;
     }
     let mut u: Vec<f64> = v.to_vec();
-    u.sort_by(|a, b| b.partial_cmp(a).expect("finite coordinates"));
+    u.sort_by(|a, b| b.total_cmp(a));
     let mut css = 0.0;
     let mut rho = 0usize;
     let mut theta = 0.0;

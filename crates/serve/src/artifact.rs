@@ -5,48 +5,38 @@
 //! integrated Laplacian in CSR form, the cluster assignment and
 //! per-cluster centroids, and the node embedding matrix — the complete
 //! state the query engine needs, so serving never re-touches the
-//! training pipeline. The codec extends the hand-rolled `bytes` format
-//! of `mvag_data::io`: a magic header and format-version field up
-//! front, a CRC-32 of the body, and overflow-safe bounds checks so
+//! training pipeline. The body travels in the workspace's sealed
+//! container ([`mvag_data::codec::seal`]: magic, format version, body
+//! length, CRC-32 of the body), and every read is bounds-checked so
 //! hostile or truncated input surfaces as a typed
 //! [`ServeError::Corrupt`], never a panic or huge allocation.
 //!
-//! Three on-disk layouts share the codec (see `docs/ARCHITECTURE.md`
-//! for the byte-level specification):
+//! The format is **v5** (see `docs/ARCHITECTURE.md` for the
+//! byte-level specification): a head (meta, lineage, compaction
+//! counter, tombstones, view weights) followed by a section table;
+//! each section starts at a 64-byte-aligned file offset with its own
+//! CRC-32, per-row embedding norms are precomputed into their own
+//! section, and the norms/embedding sections are raw little-endian
+//! `f64`s — so [`crate::store::EmbeddingStore`] can serve rows
+//! zero-copy straight out of a memory map.
 //!
-//! * **v1 (monolithic, legacy)** — one file holding the whole artifact.
-//!   Still loadable; decoding normalizes it to a full-range artifact
-//!   covering rows `0..n`.
-//! * **v2 (row-ranged, legacy)** — the same layout plus an explicit
-//!   `[row_start, row_end)` global row range. A *full* artifact covers
-//!   `0..n`; a *shard* produced by [`Artifact::shard`] covers a slice
-//!   of the rows (its labels, embedding rows, and Laplacian rows are
-//!   restricted to the range, while view weights and centroids — both
-//!   small and global — are carried in every shard).
-//!   [`Artifact::save_sharded`] writes a directory of shard files plus
-//!   a [`ShardManifest`] that a
-//!   [`ShardRouter`](crate::router::ShardRouter) can serve without
-//!   ever holding the whole embedding in memory.
-//! * **v3 (lineage)** — v2 plus the update-lineage header (`parent_seed`
-//!   of the root training run, `update_count` of incremental updates
-//!   applied since), with every length field a uniform `u64`.
-//!   v1/v2 files still decode, gaining a fresh lineage.
-//! * **v4 (deltas, legacy)** — v3 plus the compaction counter and the
-//!   tombstone section (sorted global ids of deleted-but-unpurged
-//!   rows), one flat big-endian body.
-//! * **v5 (sectioned, current)** — the same information restructured
-//!   for out-of-core serving: the body carries a section table, each
-//!   section starts at a 64-byte-aligned file offset with its own
-//!   CRC-32, per-row embedding norms are precomputed into their own
-//!   section, and the norms/embedding sections are raw little-endian
-//!   `f64`s — so [`crate::store::EmbeddingStore`] can serve rows
-//!   zero-copy straight out of a memory map.
+//! An artifact covers a global row range: a *full* artifact covers
+//! `0..n`; a *shard* produced by [`Artifact::shard`] covers a slice of
+//! the rows (labels, embedding rows and Laplacian rows restricted to
+//! the range, view weights and centroids carried whole).
+//! [`Artifact::save_sharded`] writes a directory of shard files plus a
+//! [`ShardManifest`] that a [`ShardRouter`](crate::router::ShardRouter)
+//! serves without holding the whole embedding in memory.
+//!
+//! Serving reads v5 only. Files in the older flat formats (v1–v4) are
+//! refused with a hint to run `sgla-serve compact`, whose reader
+//! (`compact::legacy`) is the one place they still decode.
 
 use crate::{Result, ServeError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mvag_data::codec::{
-    align_up, f64s_from_le, get_f64s, get_str, get_u32s, get_u64s, put_f64s_le, put_str,
-    SECTION_ALIGN,
+    align_up, f64s_from_le, get_f64s, get_u32s, get_u64s, put_f64s_le, put_str, seal, seal_version,
+    unseal, SEAL_HEADER_LEN, SECTION_ALIGN,
 };
 use mvag_data::manifest::{ShardEntry, ShardManifest};
 use mvag_graph::{Mvag, MvagDelta};
@@ -60,29 +50,14 @@ use std::fs;
 use std::path::Path;
 
 /// `"SGLA"` in ASCII.
-const MAGIC: u32 = 0x5347_4C41;
-/// Current format: v5 restructures the body into a section table of
-/// alignment-padded sections. The per-row embedding norms are
+pub(crate) const MAGIC: u32 = 0x5347_4C41;
+/// The format every encoder writes and serving reads: a section table
+/// of alignment-padded sections. The per-row embedding norms are
 /// precomputed at save time into their own section, and the norms and
 /// embedding sections are raw little-endian `f64`s starting at
 /// 64-byte-aligned file offsets — so a mapped file can lend out
-/// `&[f64]` rows without copying or byte-swapping. Encoders always
-/// write this version.
+/// `&[f64]` rows without copying or byte-swapping.
 pub const FORMAT_VERSION: u16 = 5;
-/// The flat (unaligned, big-endian) layout with the compaction counter
-/// and tombstone section; still decodable.
-pub const FORMAT_VERSION_V4: u16 = 4;
-/// The lineage layout (parent seed + update counter, uniform `u64`
-/// length fields) without tombstones; still decodable.
-pub const FORMAT_VERSION_V3: u16 = 3;
-/// The row-ranged layout without lineage; still decodable.
-pub const FORMAT_VERSION_V2: u16 = 2;
-/// The legacy monolithic layout (no row range); still decodable.
-pub const FORMAT_VERSION_V1: u16 = 1;
-
-/// Fixed container header length: magic (4) + version (2) +
-/// body length (8) + body CRC-32 (4).
-pub(crate) const HEADER_LEN: usize = 18;
 
 /// v5 section ids, in file order.
 const SECTION_LAPLACIAN: u32 = 1;
@@ -132,13 +107,10 @@ impl ArtifactSection {
 /// the payload (see [`Artifact::read_file_info`]).
 #[derive(Debug, Clone)]
 pub struct ArtifactFileInfo {
-    /// On-disk format version (1–5).
-    pub version: u16,
     /// Total file size in bytes.
     pub file_bytes: u64,
-    /// The v5 section table; `None` for pre-v5 files, which have no
-    /// sections (one flat packed body).
-    pub sections: Option<Vec<ArtifactSection>>,
+    /// The section table.
+    pub sections: Vec<ArtifactSection>,
 }
 
 /// The parsed v5 head: everything before the first aligned section
@@ -150,7 +122,7 @@ pub(crate) struct V5Head {
     pub weights: Vec<f64>,
     pub tombstones: Vec<usize>,
     pub sections: [ArtifactSection; SECTION_COUNT],
-    /// CRC-32 the file claims for the head bytes (`[HEADER_LEN`,
+    /// CRC-32 the file claims for the head bytes (`[SEAL_HEADER_LEN`,
     /// `head_end - 4)`); the owned path relies on the whole-body CRC
     /// instead, the mapped path verifies this one.
     pub head_crc: u32,
@@ -660,7 +632,7 @@ impl Artifact {
         let head_len = head.len() + SECTION_COUNT * SECTION_ENTRY_LEN + 4;
         let fail_overflow = || ServeError::InvalidArgument("artifact too large to encode".into());
         let mut offset =
-            align_up(HEADER_LEN + head_len, SECTION_ALIGN).ok_or_else(fail_overflow)?;
+            align_up(SEAL_HEADER_LEN + head_len, SECTION_ALIGN).ok_or_else(fail_overflow)?;
         let mut sections = Vec::with_capacity(SECTION_COUNT);
         for (i, payload) in payloads.iter().enumerate() {
             sections.push(ArtifactSection {
@@ -690,251 +662,48 @@ impl Artifact {
         debug_assert_eq!(head.len(), head_len);
 
         let total = offset; // one past the embedding section
-        let mut body = BytesMut::with_capacity(total - HEADER_LEN);
+        let mut body = BytesMut::with_capacity(total - SEAL_HEADER_LEN);
         body.put_slice(head.as_ref());
         for (s, payload) in sections.iter().zip(&payloads) {
-            while HEADER_LEN + body.len() < s.offset {
+            while SEAL_HEADER_LEN + body.len() < s.offset {
                 body.put_u8(0);
             }
             body.put_slice(payload.as_ref());
         }
-        let body = body.freeze();
-
-        let mut out = BytesMut::with_capacity(body.len() + HEADER_LEN);
-        out.put_u32(MAGIC);
-        out.put_u16(FORMAT_VERSION);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        Ok(out.freeze())
+        Ok(seal(MAGIC, FORMAT_VERSION, body.freeze().as_ref()))
     }
 
-    /// Encodes the legacy v4 layout (flat big-endian body, no section
-    /// table). Production code always writes v5; this writer exists so
-    /// tests can manufacture real pre-v5 files for the compatibility
-    /// and migration batteries.
-    #[doc(hidden)]
-    pub fn encode_v4(&self) -> Result<Bytes> {
-        let mut body = BytesMut::with_capacity(1 << 16);
-        put_str(&mut body, &self.meta.dataset);
-        body.put_u64(self.meta.n as u64);
-        body.put_u64(self.meta.k as u64);
-        body.put_u64(self.meta.dim as u64);
-        body.put_u64(self.meta.seed);
-        body.put_u64(self.meta.row_start as u64);
-        body.put_u64(self.meta.row_end as u64);
-        body.put_u64(self.meta.parent_seed);
-        body.put_u64(self.meta.update_count);
-        body.put_u64(self.meta.compaction_count);
-        body.put_u64(self.tombstones.len() as u64);
-        for &t in &self.tombstones {
-            body.put_u64(t as u64);
-        }
-        body.put_u64(self.weights.len() as u64);
-        for &w in &self.weights {
-            body.put_f64(w);
-        }
-        put_csr(&mut body, &self.laplacian);
-        body.put_u64(self.labels.len() as u64);
-        for (i, &l) in self.labels.iter().enumerate() {
-            let wire = u32::try_from(l).map_err(|_| {
-                ServeError::InvalidArgument(format!(
-                    "label {l} at row {i} exceeds u32::MAX and cannot be encoded"
-                ))
-            })?;
-            body.put_u32(wire);
-        }
-        put_dense(&mut body, &self.centroids);
-        put_dense(&mut body, &self.embedding);
-        let body = body.freeze();
-
-        let mut out = BytesMut::with_capacity(body.len() + HEADER_LEN);
-        out.put_u32(MAGIC);
-        out.put_u16(FORMAT_VERSION_V4);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        Ok(out.freeze())
-    }
-
-    /// Decodes an artifact (v1–v5), verifying magic, version, length,
-    /// and checksum before touching the payload. Older versions are
-    /// normalized in memory: a v1 artifact becomes a full-range
-    /// artifact, v1/v2 artifacts get a fresh lineage header
-    /// (`parent_seed = seed`, `update_count = 0`), and pre-v4
-    /// artifacts have no tombstones and a zero compaction count.
+    /// Decodes a v5 artifact, verifying magic, length and checksum
+    /// before touching the payload.
     ///
     /// # Errors
     /// [`ServeError::Corrupt`] on any structural problem — including
     /// length fields that do not fit the remaining body (a corrupt
-    /// count errors instead of mis-framing the sections after it).
+    /// count errors instead of mis-framing the sections after it) —
+    /// and for files in an older format, with a hint to migrate them
+    /// with `sgla-serve compact`.
     pub fn decode(bytes: Bytes) -> Result<Artifact> {
         Ok(Self::decode_with_norms(bytes)?.0)
     }
 
     /// [`Artifact::decode`], additionally returning the persisted
-    /// per-row embedding norms when the file carries them (v5 —
-    /// `Some`, one Euclidean norm per row in range) so engine assembly
-    /// can skip its `O(n·dim)` norm pass. Pre-v5 files return `None`
-    /// and the caller computes.
+    /// per-row embedding norms (one Euclidean norm per row in range)
+    /// so engine assembly can skip its `O(n·dim)` norm pass.
     ///
     /// # Errors
     /// See [`Artifact::decode`].
-    pub fn decode_with_norms(mut bytes: Bytes) -> Result<(Artifact, Option<Vec<f64>>)> {
-        let full = bytes.clone();
+    pub fn decode_with_norms(bytes: Bytes) -> Result<(Artifact, Vec<f64>)> {
         let fail = |msg: &str| ServeError::Corrupt(msg.to_string());
-        if bytes.remaining() < HEADER_LEN {
-            return Err(fail("shorter than the fixed header"));
-        }
-        if bytes.get_u32() != MAGIC {
-            return Err(fail("bad magic (not an SGLA artifact)"));
-        }
-        let version = bytes.get_u16();
-        if !(FORMAT_VERSION_V1..=FORMAT_VERSION).contains(&version) {
-            return Err(fail(&format!(
-                "unsupported format version {version} (expected {FORMAT_VERSION_V1} through \
-                 {FORMAT_VERSION})"
-            )));
-        }
-        let body_len = bytes.get_u64();
-        let expect_crc = bytes.get_u32();
-        if bytes.remaining() as u64 != body_len {
-            return Err(fail(&format!(
-                "body length mismatch: header says {body_len}, got {}",
-                bytes.remaining()
-            )));
-        }
-        if crc32(bytes.as_ref()) != expect_crc {
-            return Err(fail("checksum mismatch (artifact bytes were altered)"));
-        }
-        if version == FORMAT_VERSION {
-            // v5: sectioned body. The whole-body CRC above already
-            // vouches for every byte (head, padding, payloads), so the
-            // owned path skips the per-section CRCs — they exist for
-            // the mapped open path, which never reads most of the file.
-            let (artifact, norms) = Self::decode_v5(&full)?;
-            return Ok((artifact, Some(norms)));
-        }
-
-        let dataset = get_str(&mut bytes).ok_or_else(|| fail("truncated dataset name"))?;
-        if bytes.remaining() < 32 + 4 {
-            return Err(fail("truncated meta"));
-        }
-        let n = bytes.get_u64() as usize;
-        let k = bytes.get_u64() as usize;
-        let dim = bytes.get_u64() as usize;
-        let seed = bytes.get_u64();
-        // v1 has no row-range fields: it is a full artifact by
-        // definition.
-        let (row_start, row_end) = if version == FORMAT_VERSION_V1 {
-            (0, n)
-        } else {
-            if bytes.remaining() < 16 {
-                return Err(fail("truncated row range"));
-            }
-            (bytes.get_u64() as usize, bytes.get_u64() as usize)
-        };
-        // v3 adds the update-lineage header; older files get a fresh
-        // one anchored at their own seed.
-        let (parent_seed, update_count) = if version >= FORMAT_VERSION_V3 {
-            if bytes.remaining() < 16 {
-                return Err(fail("truncated lineage header"));
-            }
-            (bytes.get_u64(), bytes.get_u64())
-        } else {
-            (seed, 0)
-        };
-        // v4 adds the compaction counter and the tombstone id list.
-        let (compaction_count, tombstones) = if version >= FORMAT_VERSION_V4 {
-            if bytes.remaining() < 16 {
-                return Err(fail("truncated compaction header"));
-            }
-            let compactions = bytes.get_u64();
-            let count = bytes.get_u64() as usize;
-            let ids = get_u64s(&mut bytes, count).ok_or_else(|| fail("truncated tombstone ids"))?;
-            (compactions, ids)
-        } else {
-            (0, Vec::new())
-        };
-        // v1/v2 wrote the weight count as u32 (the one non-u64 length
-        // field of those layouts); v3+ is uniformly u64. Either way the
-        // count must fit the remaining body before any allocation.
-        let num_weights = if version >= FORMAT_VERSION_V3 {
-            if bytes.remaining() < 8 {
-                return Err(fail("truncated weight count"));
-            }
-            let raw = bytes.get_u64();
-            usize::try_from(raw).map_err(|_| fail("weight count overflows usize"))?
-        } else {
-            if bytes.remaining() < 4 {
-                return Err(fail("truncated weight count"));
-            }
-            bytes.get_u32() as usize
-        };
-        if num_weights
-            .checked_mul(8)
-            .is_none_or(|bytes_needed| bytes_needed > bytes.remaining())
-        {
-            return Err(fail(&format!(
-                "weight count {num_weights} exceeds the remaining body"
-            )));
-        }
-        let weights = get_f64s(&mut bytes, num_weights).ok_or_else(|| fail("truncated weights"))?;
-        let laplacian = get_csr(&mut bytes)?;
-        if bytes.remaining() < 8 {
-            return Err(fail("truncated label count"));
-        }
-        let num_labels = bytes.get_u64() as usize;
-        if num_labels
-            .checked_mul(4)
-            .is_none_or(|bytes_needed| bytes_needed > bytes.remaining())
-        {
-            return Err(fail(&format!(
-                "label count {num_labels} exceeds the remaining body"
-            )));
-        }
-        let labels = get_u32s(&mut bytes, num_labels).ok_or_else(|| fail("truncated labels"))?;
-        // Label range (`l < k`) is enforced by the validate() call
-        // below, along with every other cross-field invariant.
-        let centroids = get_dense(&mut bytes)?;
-        let embedding = get_dense(&mut bytes)?;
-        if bytes.remaining() != 0 {
-            return Err(fail("trailing bytes after payload"));
-        }
-
-        let artifact = Artifact {
-            meta: ArtifactMeta {
-                dataset,
-                n,
-                k,
-                dim,
-                seed,
-                row_start,
-                row_end,
-                parent_seed,
-                update_count,
-                compaction_count,
-            },
-            weights,
-            laplacian,
-            labels,
-            centroids,
-            embedding,
-            tombstones,
-        };
-        artifact.validate()?;
-        Ok((artifact, None))
-    }
-
-    /// Decodes a v5 sectioned body from the full file bytes (header
-    /// included; header fields and the whole-body CRC already
-    /// verified). Returns the artifact plus its persisted norms.
-    fn decode_v5(raw: &Bytes) -> Result<(Artifact, Vec<f64>)> {
-        let fail = |msg: &str| ServeError::Corrupt(msg.to_string());
-        let head = parse_v5_head(raw.as_ref())?;
+        unseal(bytes.clone(), MAGIC, "artifact").map_err(ServeError::Corrupt)?;
+        // The whole-body CRC above already vouches for every byte
+        // (head, padding, payloads), so the owned path skips the
+        // per-section CRCs — they exist for the mapped open path,
+        // which never reads most of the file. The head parse refuses
+        // other versions.
+        let head = parse_v5_head(bytes.as_ref())?;
         let rows = head.meta.rows();
         let section = |id: u32| head.sections[(id - 1) as usize];
-        let slice = |s: ArtifactSection| raw.slice(s.offset..s.offset + s.len);
+        let slice = |s: ArtifactSection| bytes.slice(s.offset..s.offset + s.len);
 
         let mut lap = slice(section(SECTION_LAPLACIAN));
         let laplacian = get_csr(&mut lap)?;
@@ -958,15 +727,13 @@ impl Artifact {
             return Err(fail("trailing bytes in the centroid section"));
         }
 
-        let norms_section = section(SECTION_NORMS);
-        let norms = f64s_from_le(slice(norms_section).as_ref(), rows)
+        let norms = f64s_from_le(slice(section(SECTION_NORMS)).as_ref(), rows)
             .ok_or_else(|| fail("norms section length does not match the row count"))?;
 
-        let emb_section = section(SECTION_EMBEDDING);
         let count = rows
             .checked_mul(head.meta.dim)
             .ok_or_else(|| fail("embedding shape overflow"))?;
-        let data = f64s_from_le(slice(emb_section).as_ref(), count)
+        let data = f64s_from_le(slice(section(SECTION_EMBEDDING)).as_ref(), count)
             .ok_or_else(|| fail("embedding section length does not match rows × dim"))?;
         let embedding = DenseMatrix::from_vec(rows, head.meta.dim, data)
             .map_err(|e| fail(&format!("embedding: {e}")))?;
@@ -1085,44 +852,28 @@ impl Artifact {
         Artifact::decode(Bytes::from(data))
     }
 
-    /// [`Artifact::load`] plus the persisted per-row norms when the
-    /// file is v5 (see [`Artifact::decode_with_norms`]).
+    /// [`Artifact::load`] plus the persisted per-row norms (see
+    /// [`Artifact::decode_with_norms`]).
     ///
     /// # Errors
     /// I/O failures and [`ServeError::Corrupt`].
-    pub fn load_with_norms(path: &Path) -> Result<(Artifact, Option<Vec<f64>>)> {
+    pub fn load_with_norms(path: &Path) -> Result<(Artifact, Vec<f64>)> {
         let data = fs::read(path)?;
         Artifact::decode_with_norms(Bytes::from(data))
     }
 
     /// Reads codec-level facts about an artifact file without decoding
-    /// the payload: format version, file size, and — for v5 — the
-    /// section table with per-section byte sizes. Pre-v5 files have no
-    /// section table (`sections = None`).
+    /// the payload: file size and the section table with per-section
+    /// byte sizes.
     ///
     /// # Errors
-    /// I/O failures; [`ServeError::Corrupt`] for non-SGLA files or a
-    /// malformed v5 head.
+    /// I/O failures; [`ServeError::Corrupt`] for non-SGLA files, older
+    /// formats, or a malformed head.
     pub fn read_file_info(path: &Path) -> Result<ArtifactFileInfo> {
         let raw = fs::read(path)?;
-        let fail = |msg: &str| ServeError::Corrupt(msg.to_string());
-        if raw.len() < HEADER_LEN {
-            return Err(fail("shorter than the fixed header"));
-        }
-        let magic = u32::from_be_bytes(raw[0..4].try_into().expect("4 bytes"));
-        if magic != MAGIC {
-            return Err(fail("bad magic (not an SGLA artifact)"));
-        }
-        let version = u16::from_be_bytes(raw[4..6].try_into().expect("2 bytes"));
-        let sections = if version == FORMAT_VERSION {
-            Some(parse_v5_head(&raw)?.sections.to_vec())
-        } else {
-            None
-        };
         Ok(ArtifactFileInfo {
-            version,
             file_bytes: raw.len() as u64,
-            sections,
+            sections: parse_v5_head(&raw)?.sections.to_vec(),
         })
     }
 
@@ -1213,7 +964,7 @@ impl Artifact {
     /// `manifest.json`, all inside directory `dir` (created if
     /// missing). `shards` is clamped to `1..=n`. Returns the manifest.
     ///
-    /// Every shard file is a self-contained v2 artifact; the manifest
+    /// Every shard file is a self-contained artifact; the manifest
     /// records each file's byte size and whole-file CRC-32 so a router
     /// can verify shards before decoding them.
     ///
@@ -1288,6 +1039,28 @@ impl Artifact {
             .map_err(|e| ServeError::Server(format!("writing manifest: {e}")))?;
         Ok(manifest)
     }
+}
+
+/// Accepts format `version` for serving — v5 only. An older artifact
+/// format gets the migration hint; `what` names the thing being
+/// opened ("file", "layout manifest").
+///
+/// # Errors
+/// [`ServeError::Corrupt`] for any other version.
+pub(crate) fn require_current(what: &str, version: u16) -> Result<()> {
+    if version == FORMAT_VERSION {
+        return Ok(());
+    }
+    Err(ServeError::Corrupt(
+        if (1..FORMAT_VERSION).contains(&version) {
+            format!(
+                "{what} uses artifact format v{version}, which serving no longer reads; run \
+             `sgla-serve compact` on it to migrate it to v{FORMAT_VERSION}"
+            )
+        } else {
+            format!("unsupported format version {version} (expected {FORMAT_VERSION})")
+        },
+    ))
 }
 
 /// Up-front trainability gate: with `n <= 2` the embedding dimension
@@ -1442,7 +1215,7 @@ fn centroids_of(embedding: &DenseMatrix, labels: &[usize], k: usize) -> Result<D
 
 pub use mvag_data::codec::crc32;
 
-fn put_csr(buf: &mut BytesMut, m: &CsrMatrix) {
+pub(crate) fn put_csr(buf: &mut BytesMut, m: &CsrMatrix) {
     buf.put_u64(m.nrows() as u64);
     buf.put_u64(m.ncols() as u64);
     buf.put_u64(m.nnz() as u64);
@@ -1461,7 +1234,7 @@ fn put_csr(buf: &mut BytesMut, m: &CsrMatrix) {
     }
 }
 
-fn get_csr(bytes: &mut Bytes) -> Result<CsrMatrix> {
+pub(crate) fn get_csr(bytes: &mut Bytes) -> Result<CsrMatrix> {
     let fail = |msg: &str| ServeError::Corrupt(format!("laplacian: {msg}"));
     if bytes.remaining() < 24 {
         return Err(fail("truncated header"));
@@ -1480,7 +1253,7 @@ fn get_csr(bytes: &mut Bytes) -> Result<CsrMatrix> {
         .map_err(|e| fail(&format!("invalid structure: {e}")))
 }
 
-fn put_dense(buf: &mut BytesMut, m: &DenseMatrix) {
+pub(crate) fn put_dense(buf: &mut BytesMut, m: &DenseMatrix) {
     buf.put_u64(m.nrows() as u64);
     buf.put_u64(m.ncols() as u64);
     for &v in m.data() {
@@ -1488,7 +1261,7 @@ fn put_dense(buf: &mut BytesMut, m: &DenseMatrix) {
     }
 }
 
-fn get_dense(bytes: &mut Bytes) -> Result<DenseMatrix> {
+pub(crate) fn get_dense(bytes: &mut Bytes) -> Result<DenseMatrix> {
     let fail = |msg: &str| ServeError::Corrupt(format!("dense matrix: {msg}"));
     if bytes.remaining() < 16 {
         return Err(fail("truncated header"));
@@ -1512,10 +1285,6 @@ struct SliceCursor<'a> {
 }
 
 impl<'a> SliceCursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        SliceCursor { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -1527,11 +1296,6 @@ impl<'a> SliceCursor<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Some(s)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|s| u16::from_be_bytes(s.try_into().expect("2 bytes")))
     }
 
     fn u32(&mut self) -> Option<u32> {
@@ -1582,10 +1346,10 @@ impl<'a> SliceCursor<'a> {
 }
 
 /// Parses the head of a v5 artifact from the full file bytes: the
-/// fixed container header, meta, tombstones, weights, and the section
-/// table — then structurally validates the table (exact in-order ids,
-/// 64-byte-aligned offsets, minimal padding, no overlap, payloads end
-/// exactly at end of file).
+/// sealed container header (body CRC excluded), meta, tombstones,
+/// weights, and the section table — then structurally validates the
+/// table (exact in-order ids, 64-byte-aligned offsets, minimal
+/// padding, no overlap, payloads end exactly at end of file).
 ///
 /// The head CRC is *returned*, not checked: the owned decoder's
 /// whole-body CRC subsumes it, and the mapped open path verifies it
@@ -1593,27 +1357,12 @@ impl<'a> SliceCursor<'a> {
 pub(crate) fn parse_v5_head(raw: &[u8]) -> Result<V5Head> {
     let fail = |msg: String| ServeError::Corrupt(msg);
     let fails = |msg: &str| ServeError::Corrupt(msg.to_string());
-    let mut cur = SliceCursor::new(raw);
-    if cur.remaining() < HEADER_LEN {
-        return Err(fails("shorter than the fixed header"));
-    }
-    if cur.u32() != Some(MAGIC) {
-        return Err(fails("bad magic (not an SGLA artifact)"));
-    }
-    let version = cur.u16().expect("header length checked");
-    if version != FORMAT_VERSION {
-        return Err(fail(format!(
-            "not a v{FORMAT_VERSION} artifact (file is v{version})"
-        )));
-    }
-    let body_len = cur.u64().expect("header length checked");
-    let _body_crc = cur.u32().expect("header length checked");
-    if cur.remaining() as u64 != body_len {
-        return Err(fail(format!(
-            "body length mismatch: header says {body_len}, got {}",
-            cur.remaining()
-        )));
-    }
+    let version = seal_version(raw, MAGIC, "artifact").map_err(ServeError::Corrupt)?;
+    require_current("file", version)?;
+    let mut cur = SliceCursor {
+        buf: raw,
+        pos: SEAL_HEADER_LEN,
+    };
 
     let dataset = cur.str().ok_or_else(|| fails("truncated dataset name"))?;
     let mut meta_words = [0u64; 9];
@@ -1738,7 +1487,7 @@ impl V5Head {
     /// # Errors
     /// [`ServeError::Corrupt`] on mismatch.
     pub(crate) fn verify_head_crc(&self, raw: &[u8]) -> Result<()> {
-        let got = crc32(&raw[HEADER_LEN..self.head_end - 4]);
+        let got = crc32(&raw[SEAL_HEADER_LEN..self.head_end - 4]);
         if got != self.head_crc {
             return Err(ServeError::Corrupt(
                 "head checksum mismatch (artifact head bytes were altered)".into(),
@@ -1833,169 +1582,6 @@ mod tests {
         for len in (0..raw.len()).step_by(97).chain(0..32) {
             let prefix = Bytes::from(raw[..len].to_vec());
             assert!(Artifact::decode(prefix).is_err(), "prefix of {len} decoded");
-        }
-    }
-
-    /// Byte-for-byte replica of the PR-1 era (v1) encoder: the same
-    /// body layout minus the row-range fields. Kept in tests as the
-    /// backward-compatibility oracle.
-    fn encode_v1(a: &Artifact) -> Bytes {
-        assert!(a.meta.is_full(), "v1 can only describe full artifacts");
-        let mut body = BytesMut::with_capacity(1 << 16);
-        put_str(&mut body, &a.meta.dataset);
-        body.put_u64(a.meta.n as u64);
-        body.put_u64(a.meta.k as u64);
-        body.put_u64(a.meta.dim as u64);
-        body.put_u64(a.meta.seed);
-        body.put_u32(a.weights.len() as u32);
-        for &w in &a.weights {
-            body.put_f64(w);
-        }
-        put_csr(&mut body, &a.laplacian);
-        body.put_u64(a.labels.len() as u64);
-        for &l in &a.labels {
-            body.put_u32(l as u32);
-        }
-        put_dense(&mut body, &a.centroids);
-        put_dense(&mut body, &a.embedding);
-        let body = body.freeze();
-        let mut out = BytesMut::with_capacity(body.len() + 18);
-        out.put_u32(MAGIC);
-        out.put_u16(FORMAT_VERSION_V1);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        out.freeze()
-    }
-
-    #[test]
-    fn v1_artifact_still_decodes_bit_exactly() {
-        let a = small_artifact();
-        let back = Artifact::decode(encode_v1(&a)).unwrap();
-        // A v1 file is normalized to a full-range v2 artifact equal in
-        // every field to the artifact that produced it.
-        assert_eq!(a, back);
-        assert!(back.meta.is_full());
-        // Truncations of the v1 stream still fail cleanly.
-        let raw = encode_v1(&a).to_vec();
-        for len in (0..raw.len()).step_by(131).chain(0..24) {
-            assert!(
-                Artifact::decode(Bytes::from(raw[..len].to_vec())).is_err(),
-                "v1 prefix of {len} decoded"
-            );
-        }
-    }
-
-    /// Byte-for-byte replica of the PR-3 era (v2) encoder: row-range
-    /// fields, `u32` weight count, no lineage header. Kept in tests as
-    /// the second backward-compatibility oracle.
-    fn encode_v2(a: &Artifact) -> Bytes {
-        let mut body = BytesMut::with_capacity(1 << 16);
-        put_str(&mut body, &a.meta.dataset);
-        body.put_u64(a.meta.n as u64);
-        body.put_u64(a.meta.k as u64);
-        body.put_u64(a.meta.dim as u64);
-        body.put_u64(a.meta.seed);
-        body.put_u64(a.meta.row_start as u64);
-        body.put_u64(a.meta.row_end as u64);
-        body.put_u32(a.weights.len() as u32);
-        for &w in &a.weights {
-            body.put_f64(w);
-        }
-        put_csr(&mut body, &a.laplacian);
-        body.put_u64(a.labels.len() as u64);
-        for &l in &a.labels {
-            body.put_u32(l as u32);
-        }
-        put_dense(&mut body, &a.centroids);
-        put_dense(&mut body, &a.embedding);
-        let body = body.freeze();
-        let mut out = BytesMut::with_capacity(body.len() + 18);
-        out.put_u32(MAGIC);
-        out.put_u16(FORMAT_VERSION_V2);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        out.freeze()
-    }
-
-    #[test]
-    fn v2_artifact_still_decodes_bit_exactly() {
-        let a = small_artifact();
-        let back = Artifact::decode(encode_v2(&a)).unwrap();
-        // A fresh artifact's lineage is exactly what v2 normalization
-        // synthesizes (parent_seed = seed, update_count = 0), so the
-        // round-trip is equal in every field — shards included.
-        assert_eq!(a, back);
-        let shard = a.shard(5, 30).unwrap();
-        assert_eq!(shard, Artifact::decode(encode_v2(&shard)).unwrap());
-        // Truncations of the v2 stream still fail cleanly.
-        let raw = encode_v2(&a).to_vec();
-        for len in (0..raw.len()).step_by(131).chain(0..24) {
-            assert!(
-                Artifact::decode(Bytes::from(raw[..len].to_vec())).is_err(),
-                "v2 prefix of {len} decoded"
-            );
-        }
-    }
-
-    /// Byte-for-byte replica of the PR-5 era (v3) encoder: lineage
-    /// header, uniform `u64` lengths, no compaction/tombstone section.
-    /// Kept in tests as the third backward-compatibility oracle.
-    fn encode_v3(a: &Artifact) -> Bytes {
-        assert!(
-            a.tombstones.is_empty() && a.meta.compaction_count == 0,
-            "v3 cannot carry tombstones or a compaction count"
-        );
-        let mut body = BytesMut::with_capacity(1 << 16);
-        put_str(&mut body, &a.meta.dataset);
-        body.put_u64(a.meta.n as u64);
-        body.put_u64(a.meta.k as u64);
-        body.put_u64(a.meta.dim as u64);
-        body.put_u64(a.meta.seed);
-        body.put_u64(a.meta.row_start as u64);
-        body.put_u64(a.meta.row_end as u64);
-        body.put_u64(a.meta.parent_seed);
-        body.put_u64(a.meta.update_count);
-        body.put_u64(a.weights.len() as u64);
-        for &w in &a.weights {
-            body.put_f64(w);
-        }
-        put_csr(&mut body, &a.laplacian);
-        body.put_u64(a.labels.len() as u64);
-        for &l in &a.labels {
-            body.put_u32(l as u32);
-        }
-        put_dense(&mut body, &a.centroids);
-        put_dense(&mut body, &a.embedding);
-        let body = body.freeze();
-        let mut out = BytesMut::with_capacity(body.len() + 18);
-        out.put_u32(MAGIC);
-        out.put_u16(FORMAT_VERSION_V3);
-        out.put_u64(body.len() as u64);
-        out.put_u32(crc32(body.as_ref()));
-        out.put_slice(body.as_ref());
-        out.freeze()
-    }
-
-    #[test]
-    fn v3_artifact_still_decodes_bit_exactly() {
-        let mut a = small_artifact();
-        a.meta.parent_seed = 99;
-        a.meta.update_count = 4;
-        let back = Artifact::decode(encode_v3(&a)).unwrap();
-        assert_eq!(a, back);
-        assert!(back.tombstones.is_empty());
-        assert_eq!(back.meta.compaction_count, 0);
-        let shard = a.shard(5, 30).unwrap();
-        assert_eq!(shard, Artifact::decode(encode_v3(&shard)).unwrap());
-        // Truncations of the v3 stream still fail cleanly.
-        let raw = encode_v3(&a).to_vec();
-        for len in (0..raw.len()).step_by(131).chain(0..24) {
-            assert!(
-                Artifact::decode(Bytes::from(raw[..len].to_vec())).is_err(),
-                "v3 prefix of {len} decoded"
-            );
         }
     }
 
@@ -2216,29 +1802,32 @@ mod tests {
         }
     }
 
-    /// v4 files (the flat pre-section layout) produced by the retained
-    /// legacy writer still decode bit-exactly, tombstones included.
+    /// Serving reads v5 only: every older version is refused with a
+    /// typed error that names it and the migration command.
     #[test]
-    fn v4_artifact_still_decodes_bit_exactly() {
-        let mut a = small_artifact();
-        a.tombstones = vec![2, 9, 44];
-        a.meta.compaction_count = 3;
-        a.meta.update_count = 7;
-        let encoded = a.encode_v4().unwrap();
-        assert_eq!(encoded.as_ref()[4..6], FORMAT_VERSION_V4.to_be_bytes());
-        let (back, norms) = Artifact::decode_with_norms(encoded).unwrap();
-        assert_eq!(a, back);
-        assert!(norms.is_none(), "v4 files carry no norms section");
-        let shard = a.shard(5, 30).unwrap();
-        assert_eq!(shard, Artifact::decode(shard.encode_v4().unwrap()).unwrap());
-        // Truncations of the v4 stream still fail cleanly.
-        let raw = a.encode_v4().unwrap().to_vec();
-        for len in (0..raw.len()).step_by(131).chain(0..24) {
-            assert!(
-                Artifact::decode(Bytes::from(raw[..len].to_vec())).is_err(),
-                "v4 prefix of {len} decoded"
-            );
+    fn pre_v5_files_are_refused_with_the_compact_hint() {
+        let a = small_artifact();
+        let dir = std::env::temp_dir().join(format!("sgla-artifact-pre-v5-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        for version in 1..FORMAT_VERSION {
+            let encoded = crate::compact::legacy::encode(&a, version).unwrap();
+            let path = dir.join(format!("v{version}.sgla"));
+            fs::write(&path, encoded.as_ref()).unwrap();
+            for err in [
+                Artifact::decode(encoded.clone()).unwrap_err(),
+                Artifact::load(&path).unwrap_err(),
+                Artifact::read_file_info(&path).unwrap_err(),
+            ] {
+                assert!(matches!(err, ServeError::Corrupt(_)), "v{version}: {err}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("format v{version}"))
+                        && msg.contains("sgla-serve compact"),
+                    "v{version}: {msg}"
+                );
+            }
         }
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// The v5 norms section holds exactly the per-row Euclidean norms
@@ -2249,7 +1838,6 @@ mod tests {
         a.tombstones = vec![7, 30];
         let (back, norms) = Artifact::decode_with_norms(a.encode().unwrap()).unwrap();
         assert_eq!(a, back);
-        let norms = norms.expect("v5 persists norms");
         assert_eq!(norms.len(), a.meta.rows());
         for (r, &got) in norms.iter().enumerate() {
             let want = mvag_sparse::vecops::norm2(a.embedding.row(r));
@@ -2370,7 +1958,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome2.artifact.meta.n, 65);
         assert_eq!(outcome2.artifact.meta.update_count, 2);
-        // The updated artifact round-trips through the v3 codec.
+        // The updated artifact round-trips through the codec.
         let back = Artifact::decode(outcome2.artifact.encode().unwrap()).unwrap();
         assert_eq!(outcome2.artifact, back);
         // Mismatched inputs are rejected.

@@ -105,12 +105,12 @@ const USAGE: &str = "usage:
   --idle-timeout reaps silent keep-alive connections.
   serve --auto-compact F compacts the artifact at (re)load whenever
   the tombstoned fraction reaches F (e.g. 0.2); 0 disables.
-  serve --mmap controls out-of-core serving of v5 artifacts: auto
-  (default) memory-maps v5 files where supported and falls back to an
-  owned load otherwise; on requires mapping; off always loads owned.
+  serve --mmap controls out-of-core serving: auto (default)
+  memory-maps artifacts where supported and falls back to an owned
+  load otherwise; on requires mapping; off always loads owned.
   Mapped shards turn --max-resident into a page-cache hint
-  (madvise) instead of an eviction. Pre-v5 artifacts always load
-  owned; `sgla-serve compact` rewrites them as v5.
+  (madvise) instead of an eviction. Pre-v5 artifacts are refused;
+  `sgla-serve compact` rewrites them as v5.
   serve --slow-query-us N captures requests at least N µs long into
   GET /debug/slow_queries (default 10000, 0 = off; live-tunable via
   PUT /debug/slow_threshold). --slo-p99-us / --slo-error-rate set the
@@ -263,7 +263,7 @@ fn train(args: &[String]) -> Result<(), String> {
     }
     if shards > 1 {
         // Sharded layout: --out is a directory holding the manifest
-        // plus one self-contained v2 artifact per row-range shard.
+        // plus one self-contained artifact per row-range shard.
         let manifest = artifact
             .save_sharded(&out, shards)
             .map_err(|e| e.to_string())?;
@@ -353,7 +353,8 @@ fn info(args: &[String]) -> Result<(), String> {
     println!("artifact:  {}", path.display());
     println!(
         "format:    v{} ({} bytes)",
-        file_info.version, file_info.file_bytes
+        sgla_serve::artifact::FORMAT_VERSION,
+        file_info.file_bytes
     );
     println!("dataset:   {}", m.dataset);
     println!("n:         {}", m.n);
@@ -367,20 +368,15 @@ fn info(args: &[String]) -> Result<(), String> {
     );
     println!("weights:   {:?}", artifact.weights);
     println!("laplacian: {} nnz", artifact.laplacian.nnz());
-    match &file_info.sections {
-        Some(sections) => {
-            println!("sections:");
-            for s in sections {
-                println!(
-                    "  {:<10} offset {:>10}  {:>12} bytes  crc32 {:08x}",
-                    s.name(),
-                    s.offset,
-                    s.len,
-                    s.crc32
-                );
-            }
-        }
-        None => println!("sections:  none (packed pre-v5 body; compact to rewrite as v5)"),
+    println!("sections:");
+    for s in &file_info.sections {
+        println!(
+            "  {:<10} offset {:>10}  {:>12} bytes  crc32 {:08x}",
+            s.name(),
+            s.offset,
+            s.len,
+            s.crc32
+        );
     }
     let sidecar = Artifact::index_sidecar_path(path);
     if sidecar.is_file() {
@@ -569,7 +565,9 @@ fn notify_reload(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `sgla-serve compact` — purge tombstones from an artifact on disk.
+/// `sgla-serve compact` — purge tombstones from an artifact on disk,
+/// and migrate a file or layout in an older format (v1–v4, which
+/// serving refuses) to v5.
 ///
 /// Sharded layouts compact in place: only dirty shards (tombstoned or
 /// stale) are rewritten, clean shard files stay byte-identical and are
@@ -630,7 +628,7 @@ fn compact(args: &[String]) -> Result<(), String> {
 ///    `--delta-out` to keep the update replayable);
 /// 3. runs `Artifact::update` (reused weights, warm-started
 ///    eigensolves, incremental centroid/label refresh) and writes the
-///    updated v3 artifact (monolithic, or a re-manifested sharded
+///    updated artifact (monolithic, or a re-manifested sharded
 ///    layout with `--shards N`);
 /// 4. invalidates IVF sidecars: any existing index over the old rows
 ///    is retrained over the updated artifact with its original

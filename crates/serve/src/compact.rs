@@ -21,12 +21,16 @@
 //!   other shard file stays byte-identical (its manifest entry merely
 //!   gains a `file_n` so the router grows its Laplacian at load).
 //! * [`compact_monolithic`] is the single-file analogue used by the
-//!   `sgla-serve compact` CLI and `serve --auto-compact`.
-//! * `read_shard` / `rebase_shard` are the shared (crate-internal)
-//!   load path: the
+//!   `sgla-serve compact` CLI and `serve --auto-compact`. It rewrites
+//!   a file in an older format (v4 or earlier) as v5 even when there
+//!   is nothing to purge.
+//! * `read_shard_with_norms` / `rebase_shard` are the shared
+//!   (crate-internal) load path: the
 //!   [`ShardRouter`](crate::router::ShardRouter) and the compactor
 //!   both verify a shard file against its manifest entry and rebase
 //!   stale files into the manifest's current coordinate system.
+//! * `legacy` holds the v1–v4 codecs. Serving reads v5 only, so the
+//!   compactor is the one reader of older files: it is the migration.
 //!
 //! # Crash consistency
 //!
@@ -51,14 +55,19 @@
 //! every byte budget and proves exactly that.
 
 use crate::artifact::{
-    check_trainable, compact_csr, crc32, Artifact, ArtifactMeta, FORMAT_VERSION,
+    check_trainable, compact_csr, crc32, require_current, Artifact, ArtifactMeta, FORMAT_VERSION,
+    MAGIC,
 };
 use crate::{Result, ServeError};
+use bytes::Bytes;
 use mvag_data::manifest::{ShardEntry, ShardManifest};
 use mvag_data::{IdMap, LayoutWriter};
 use mvag_graph::{MvagDelta, ViewDelta};
 use mvag_sparse::{CsrMatrix, DenseMatrix};
 use std::path::{Path, PathBuf};
+
+#[doc(hidden)]
+pub mod legacy;
 
 /// Process-wide compaction/append telemetry behind the
 /// `sgla_compact_*` metrics family. Statics (not per-server state)
@@ -285,20 +294,10 @@ pub(crate) fn load_layout_id_map(dir: &Path, manifest: &ShardManifest) -> Result
     }
 }
 
-/// Reads, checksums, decodes, and rebases one shard file — the one
-/// load path shared by the router and the compactor, so both see the
-/// same verified, current-coordinate artifact.
-pub(crate) fn read_shard(
-    dir: &Path,
-    manifest: &ShardManifest,
-    idx: usize,
-    id_map: Option<&IdMap>,
-) -> Result<Artifact> {
-    Ok(read_shard_with_norms(dir, manifest, idx, id_map)?.0)
-}
-
-/// [`read_shard`] plus the per-row norms persisted in a v5 shard file
-/// (`None` for older formats). Rebasing rewrites graph coordinates,
+/// Reads, checksums, decodes, and rebases one v5 shard file, with its
+/// persisted per-row norms — the serving load path, shared by the
+/// router and the in-place append, so both see the same verified,
+/// current-coordinate artifact. Rebasing rewrites graph coordinates,
 /// never embedding rows, so the norms stay valid for the rebased
 /// artifact.
 pub(crate) fn read_shard_with_norms(
@@ -306,7 +305,28 @@ pub(crate) fn read_shard_with_norms(
     manifest: &ShardManifest,
     idx: usize,
     id_map: Option<&IdMap>,
-) -> Result<(Artifact, Option<Vec<f64>>)> {
+) -> Result<(Artifact, Vec<f64>)> {
+    let raw = read_shard_file(dir, manifest, idx)?;
+    let (artifact, norms) = Artifact::decode_with_norms(raw)?;
+    Ok((rebase_shard(artifact, manifest, idx, id_map)?, norms))
+}
+
+/// The compactor's shard load: [`read_shard_with_norms`] without the
+/// norms, accepting every format version so a legacy layout can be
+/// migrated.
+fn read_shard(
+    dir: &Path,
+    manifest: &ShardManifest,
+    idx: usize,
+    id_map: Option<&IdMap>,
+) -> Result<Artifact> {
+    let artifact = legacy::decode(read_shard_file(dir, manifest, idx)?)?;
+    rebase_shard(artifact, manifest, idx, id_map)
+}
+
+/// Reads shard `idx`'s file and checks its size and whole-file CRC-32
+/// against the manifest entry.
+fn read_shard_file(dir: &Path, manifest: &ShardManifest, idx: usize) -> Result<Bytes> {
     let entry = &manifest.shards[idx];
     let fail = |msg: String| ServeError::Corrupt(format!("shard {idx} ({}): {msg}", entry.file));
     let raw = std::fs::read(dir.join(&entry.file))?;
@@ -320,8 +340,7 @@ pub(crate) fn read_shard_with_norms(
     if entry.crc32 != 0 && crc32(&raw) != entry.crc32 {
         return Err(fail("file checksum does not match the manifest".into()));
     }
-    let (artifact, norms) = Artifact::decode_with_norms(bytes::Bytes::from(raw))?;
-    Ok((rebase_shard(artifact, manifest, idx, id_map)?, norms))
+    Ok(Bytes::from(raw))
 }
 
 /// Verifies a decoded shard against its manifest entry and, when the
@@ -695,6 +714,7 @@ fn append_sharded_inner(
     writer: &mut dyn LayoutWriter,
 ) -> Result<AppendStats> {
     let (manifest, dir) = open_layout(path)?;
+    require_current("layout manifest", manifest.artifact_format_version)?;
     if !delta.is_append_only() {
         return Err(ServeError::InvalidArgument(
             "in-place sharded append handles pure appends only; removals and edits go through \
@@ -746,7 +766,7 @@ fn append_sharded_inner(
     }
     let id_map = load_layout_id_map(&dir, &manifest)?;
     let tail = manifest.shards.len() - 1;
-    let a = read_shard(&dir, &manifest, tail, id_map.as_ref())?;
+    let a = read_shard_with_norms(&dir, &manifest, tail, id_map.as_ref())?.0;
     let tail_start = a.meta.row_start;
     // Tombstoned tail rows must not gain edges (matching the
     // artifact-level conflict rule); tombstones in non-resident shards
@@ -812,7 +832,7 @@ fn append_sharded_inner(
                 .iter()
                 .enumerate()
                 .filter(|&(_, &w)| w > 0.0)
-                .max_by(|(_, x), (_, y)| x.partial_cmp(y).expect("finite weights"))
+                .max_by(|(_, x), (_, y)| x.total_cmp(y))
                 .map(|(l, _)| l)
                 .unwrap_or(fallback_label),
         };
@@ -933,7 +953,9 @@ fn append_sharded_inner(
 
 /// Purges a monolithic artifact's tombstones in place (or to `out`):
 /// the compacted artifact is written to a temp file and committed with
-/// one atomic rename. An IVF sidecar of `out` is retrained over the
+/// one atomic rename. A file in an older format (v4 or earlier) is
+/// rewritten as v5 even without tombstones — compaction is the
+/// migration. An IVF sidecar of `out` is retrained over the
 /// compacted rows with its original parameters, or unlinked if that
 /// fails — a stale sidecar must never survive (its row coordinates no
 /// longer match and every load would fail).
@@ -962,18 +984,25 @@ fn compact_monolithic_inner(
     out: &Path,
     writer: &mut dyn LayoutWriter,
 ) -> Result<CompactionStats> {
-    let artifact = Artifact::load(path)?;
-    let before = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-    if artifact.tombstone_count() == 0 {
+    let raw = std::fs::read(path)?;
+    let before = raw.len() as u64;
+    let migrating =
+        mvag_data::codec::seal_version(&raw, MAGIC, "artifact").is_ok_and(|v| v < FORMAT_VERSION);
+    let artifact = legacy::decode(Bytes::from(raw))?;
+    let (compacted, purged) = if artifact.tombstone_count() > 0 {
+        let (compacted, id_map) = artifact.compact()?;
+        (compacted, id_map.purged.len())
+    } else if migrating {
+        (artifact, 0)
+    } else {
         return Ok(CompactionStats::default());
-    }
-    let (compacted, id_map) = artifact.compact()?;
+    };
     let encoded = compacted.encode()?;
     let tmp = out.with_extension("sgla.tmp");
     writer.write_file(&tmp, encoded.as_ref())?;
     writer.rename(&tmp, out)?;
     let stats = CompactionStats {
-        purged: id_map.purged.len(),
+        purged,
         shards_rewritten: 1,
         shards_kept: 0,
         shards_dropped: 0,
@@ -1034,6 +1063,7 @@ mod tests {
     use crate::engine::{EngineConfig, QueryEngine};
     use crate::router::{RouterConfig, ShardRouter};
     use mvag_data::FsWriter;
+    use std::sync::Arc;
 
     fn trained(n: usize, seed: u64) -> Artifact {
         let mvag = mvag_graph::toy::toy_mvag(n, 3, seed);
@@ -1202,6 +1232,133 @@ mod tests {
         assert!(compact_monolithic(&path, &path, &mut FsWriter)
             .unwrap()
             .is_noop());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Asserts `result` is the typed refusal of a v`version` input that
+    /// names `sgla-serve compact`.
+    fn assert_refused<T: std::fmt::Debug>(result: Result<T>, version: u16) {
+        let err = result.unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, ServeError::Corrupt(_)), "v{version}: {msg}");
+        assert!(
+            msg.contains(&format!("format v{version}")) && msg.contains("sgla-serve compact"),
+            "v{version}: {msg}"
+        );
+    }
+
+    /// Serving refuses every pre-v5 file with the migration hint, and
+    /// compaction rewrites it as v5 even with nothing to purge: the
+    /// result serves and decodes equal to the legacy decode.
+    #[test]
+    fn clean_pre_v5_files_are_refused_then_migrated() {
+        let artifact = trained(30, 4);
+        let dir = temp_dir("migrate-file");
+        std::fs::create_dir_all(&dir).unwrap();
+        for version in 1..FORMAT_VERSION {
+            let path = dir.join(format!("v{version}.sgla"));
+            let encoded = legacy::encode(&artifact, version).unwrap();
+            std::fs::write(&path, encoded.as_ref()).unwrap();
+            assert_refused(Artifact::load(&path), version);
+            assert_refused(ShardRouter::open(&path, RouterConfig::default()), version);
+
+            let stats = compact_monolithic(&path, &path, &mut FsWriter).unwrap();
+            assert!(!stats.is_noop(), "v{version}");
+            assert_eq!((stats.purged, stats.shards_rewritten), (0, 1));
+            let raw = std::fs::read(&path).unwrap();
+            assert_eq!(raw[4..6], FORMAT_VERSION.to_be_bytes(), "v{version}");
+            assert_eq!(
+                Artifact::load(&path).unwrap(),
+                legacy::decode(encoded).unwrap()
+            );
+            ShardRouter::open(&path, RouterConfig::default()).unwrap();
+            assert!(compact_monolithic(&path, &path, &mut FsWriter)
+                .unwrap()
+                .is_noop());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A layout whose manifest names a pre-v5 format is refused (and so
+    /// is an in-place append to it); compaction migrates it.
+    #[test]
+    fn pre_v5_layouts_are_refused_then_migrated() {
+        let artifact = trained(30, 6);
+        for version in 1..FORMAT_VERSION {
+            let dir = temp_dir(&format!("migrate-layout-v{version}"));
+            let mut manifest = artifact.save_sharded(&dir, 2).unwrap();
+            if version == legacy::FORMAT_VERSION_V1 {
+                // v1 holds only full artifacts: a one-shard layout.
+                std::fs::remove_dir_all(&dir).ok();
+                manifest = artifact.save_sharded(&dir, 1).unwrap();
+            }
+            for entry in &mut manifest.shards {
+                let shard = artifact.shard(entry.row_start, entry.row_end).unwrap();
+                let encoded = legacy::encode(&shard, version).unwrap();
+                std::fs::write(dir.join(&entry.file), encoded.as_ref()).unwrap();
+                entry.bytes = encoded.len() as u64;
+                entry.crc32 = crc32(encoded.as_ref());
+            }
+            manifest.artifact_format_version = version;
+            manifest.save(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
+            assert_refused(ShardRouter::open(&dir, RouterConfig::default()), version);
+            let delta = MvagDelta::append(1, vec![ViewDelta::Edges(vec![(30, 0, 1.0)])], None);
+            assert_refused(append_sharded(&dir, &delta, &mut FsWriter), version);
+
+            let stats = compact_sharded(&dir, &mut FsWriter).unwrap();
+            assert_eq!(stats.shards_rewritten, manifest.shards.len(), "v{version}");
+            let router = ShardRouter::open(&dir, RouterConfig::default()).unwrap();
+            let reference = QueryEngine::new(artifact.clone(), EngineConfig::default()).unwrap();
+            assert_eq!(
+                router.top_k_similar(3, 5).unwrap(),
+                reference.top_k_similar(3, 5).unwrap(),
+                "v{version}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// `POST /reload` onto a pre-v5 file fails with the hint (503, the
+    /// old artifact keeps serving) and succeeds once it is compacted.
+    #[test]
+    fn reload_refuses_pre_v5_files_until_compacted() {
+        use crate::http::{BackendLoader, Server, ServerConfig};
+        use mvag_data::json::Value;
+        let artifact = trained(30, 8);
+        let dir = temp_dir("migrate-reload");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.sgla");
+        artifact.save(&path).unwrap();
+        let loader_path = path.clone();
+        let loader: BackendLoader = Box::new(move || {
+            Ok(
+                Arc::new(ShardRouter::open(&loader_path, RouterConfig::default())?)
+                    as Arc<dyn QueryBackend>,
+            )
+        });
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::start_reloadable(loader, &config).unwrap();
+        let mut client = crate::HttpClient::connect(server.local_addr()).unwrap();
+        for version in 1..FORMAT_VERSION {
+            let encoded = legacy::encode(&artifact, version).unwrap();
+            std::fs::write(&path, encoded.as_ref()).unwrap();
+            let failed = client.post("/reload", &Value::object(vec![])).unwrap();
+            assert_eq!(failed.status, 503, "v{version}");
+            let msg = failed.body.get("error").unwrap().as_str().unwrap();
+            assert!(
+                msg.contains(&format!("format v{version}")) && msg.contains("sgla-serve compact"),
+                "v{version}: {msg}"
+            );
+            assert_eq!(client.get("/cluster/3").unwrap().status, 200);
+            compact_monolithic(&path, &path, &mut FsWriter).unwrap();
+            let reloaded = client.post("/reload", &Value::object(vec![])).unwrap();
+            assert_eq!(reloaded.status, 200, "v{version}");
+        }
+        server.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1149,10 +1149,11 @@ fn health_route(shared: &ServerShared) -> (u16, String) {
 }
 
 /// The build descriptor shared by `GET /version` and `/stats`: crate
-/// version, every artifact/delta/index format this binary reads, and
-/// process uptime.
+/// version, every artifact/delta/index format this server reads, and
+/// process uptime. Serving reads artifact format v5 only (older files
+/// are for `sgla-serve compact`).
 fn build_value(uptime_secs: f64) -> Value {
-    let artifact_formats: Vec<usize> = (1..=crate::artifact::FORMAT_VERSION as usize).collect();
+    let artifact_formats = vec![crate::artifact::FORMAT_VERSION as usize];
     let delta_formats: Vec<usize> = vec![
         mvag_data::delta::DELTA_FORMAT_VERSION_V1 as usize,
         mvag_data::delta::DELTA_FORMAT_VERSION as usize,

@@ -12,9 +12,10 @@
 //!   integrated Laplacian (CSR), cluster labels/centroids, and the
 //!   embedding matrix. [`Artifact::train`] runs the full pipeline;
 //!   `save`/`load` round-trip it bit-exactly, rejecting corrupt input
-//!   with typed errors. [`Artifact::save_sharded`] writes the v2
+//!   with typed errors. [`Artifact::save_sharded`] writes the
 //!   row-range-sharded layout (shard files + JSON manifest) for
-//!   artifacts too large for one host's memory.
+//!   artifacts too large for one host's memory. Serving reads format
+//!   v5 only; `compact` migrates older files.
 //! * [`engine`] — the [`ShardEngine`] scanner over one artifact's
 //!   rows: `cluster_of`, `embed_batch`, the cache-friendly blocked
 //!   exact top-k kernel, and approximate probes over an optional

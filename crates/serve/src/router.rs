@@ -64,7 +64,7 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::artifact::{Artifact, ArtifactMeta, FORMAT_VERSION, FORMAT_VERSION_V2};
+use crate::artifact::{require_current, Artifact, ArtifactMeta, FORMAT_VERSION};
 use crate::backend::{IndexStats, QueryBackend};
 use crate::cost::QueryCost;
 use crate::engine::{
@@ -232,17 +232,13 @@ impl ShardRouter {
     ///
     /// # Errors
     /// I/O failures, [`ServeError::Corrupt`] for a malformed manifest,
-    /// artifact, or a shard that does not match its manifest.
+    /// artifact, or a shard that does not match its manifest, and for
+    /// a file or layout in an older format (v4 or earlier; the error
+    /// says to run `sgla-serve compact`).
     pub fn open(path: &Path, config: RouterConfig) -> Result<ShardRouter> {
         let (manifest, source) = if is_layout_path(path) {
             let (manifest, dir) = crate::compact::open_layout(path)?;
-            if !(FORMAT_VERSION_V2..=FORMAT_VERSION).contains(&manifest.artifact_format_version) {
-                return Err(ServeError::Corrupt(format!(
-                    "manifest references artifact format v{}, this build reads \
-                     v{FORMAT_VERSION_V2} through v{FORMAT_VERSION}",
-                    manifest.artifact_format_version
-                )));
-            }
+            require_current("layout manifest", manifest.artifact_format_version)?;
             let id_map = crate::compact::load_layout_id_map(&dir, &manifest)?;
             (manifest, Source::Layout { dir, id_map })
         } else {
@@ -520,9 +516,9 @@ impl ShardRouter {
     /// router-side so an evicted shard never retrains on reload. The
     /// mapped open comes first unless [`RouterConfig::mmap`] is off;
     /// under [`MmapMode::Auto`] anything it cannot serve (index
-    /// training, stale layout shards pending rebase, pre-v5 files)
-    /// falls back to the owned load, which for layouts is the shared
-    /// checksummed [`compact::read_shard`](crate::compact) path.
+    /// training, stale layout shards pending rebase) falls back to the
+    /// owned load, which for layouts is the shared checksummed
+    /// `compact::read_shard_with_norms` path.
     fn load_shard(&self, idx: usize) -> Result<ShardEngine> {
         let Some(source) = &self.source else {
             return Err(ServeError::Server(
@@ -574,7 +570,7 @@ impl ShardRouter {
             Source::File(path) => Artifact::load_with_norms(path)?,
         };
         let trains = index.is_none();
-        let engine = ShardEngine::owned(artifact, norms, index, train)?;
+        let engine = ShardEngine::owned(artifact, Some(norms), index, train)?;
         if let (true, Some(index)) = (trains, engine.index()) {
             self.trained_indexes.lock().expect("trained index lock")[idx] = Some(index.clone());
         }

@@ -7,8 +7,8 @@
 //! backings behind the same API:
 //!
 //! * **Owned** — the embedding matrix and per-row norms as plain heap
-//!   allocations (every pre-v5 load, every non-Linux platform, and
-//!   training/compaction paths that mutate rows).
+//!   allocations (in-memory artifacts, `--mmap off`, every non-Linux
+//!   platform, and training/compaction paths that mutate rows).
 //! * **Mapped** (Linux, little-endian) — a private read-only `mmap` of
 //!   a v5 artifact file, rows borrowed in place from the 64-byte
 //!   aligned little-endian embedding section. Opening faults only the
@@ -38,9 +38,9 @@ pub const MMAP_SUPPORTED: bool = cfg!(all(target_os = "linux", target_endian = "
 /// Whether artifacts are served memory-mapped or heap-owned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MmapMode {
-    /// Map when the file is v5 and the platform supports it
-    /// ([`MMAP_SUPPORTED`]); silently fall back to an owned load
-    /// otherwise. What `sgla-serve serve` defaults to.
+    /// Map when the platform supports it ([`MMAP_SUPPORTED`]) and the
+    /// shard is not pending a rebase; silently fall back to an owned
+    /// load otherwise. What `sgla-serve serve` defaults to.
     Auto,
     /// Require mapping; fail instead of falling back.
     On,
@@ -296,8 +296,8 @@ pub struct StoreMemory {
 ///
 /// # Errors
 /// [`ServeError::InvalidArgument`] on platforms without mmap support
-/// or for pre-v5 files (callers fall back to [`Artifact::load`]);
-/// [`ServeError::Corrupt`] for malformed files; I/O errors from the
+/// (callers fall back to [`Artifact::load`]); [`ServeError::Corrupt`]
+/// for malformed files and older formats; I/O errors from the
 /// open/map syscalls.
 #[cfg(all(target_os = "linux", target_endian = "little"))]
 pub fn open_mapped(path: &Path) -> Result<MappedArtifact> {
@@ -318,8 +318,8 @@ pub fn open_mapped(path: &Path) -> Result<MappedArtifact> {
 
 /// Opens shard `idx` of a sharded layout memory-mapped, cross-checking
 /// the manifest entry (file size; row range and graph shape). Stale
-/// entries (pending rebase) and non-v5 files are rejected — the router
-/// falls back to the owned `read_shard` path for those.
+/// entries (pending rebase) are rejected — the router falls back to
+/// the owned `read_shard_with_norms` path for those.
 ///
 /// # Errors
 /// See [`open_mapped`]; additionally [`ServeError::Corrupt`] when the
@@ -593,10 +593,12 @@ mod tests {
         assert!(opened.store.advise_dontneed());
         assert_eq!(opened.store.row(30), a.embedding.row(30));
 
-        // Pre-v5 files are rejected (callers fall back to owned).
+        // Pre-v5 files are refused with the migration hint.
         let v4_path = dir.join("toy-v4.sgla");
-        std::fs::write(&v4_path, a.encode_v4().unwrap().as_ref()).unwrap();
-        assert!(open_mapped(&v4_path).is_err());
+        let v4 = crate::compact::legacy::encode(&a, 4).unwrap();
+        std::fs::write(&v4_path, v4.as_ref()).unwrap();
+        let err = open_mapped(&v4_path).unwrap_err();
+        assert!(err.to_string().contains("sgla-serve compact"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -295,7 +295,7 @@ fn v4_layout(tag: &str) -> PathBuf {
     for i in 0..SHARDS {
         let (row_start, row_end) = (i * per, (i + 1) * per);
         let shard = golden.shard(row_start, row_end).unwrap();
-        let encoded = shard.encode_v4().unwrap();
+        let encoded = sgla_serve::compact::legacy::encode(&shard, 4).unwrap();
         let file = Artifact::shard_file_name(i);
         std::fs::write(dir.join(&file), encoded.as_ref()).unwrap();
         entries.push(ShardEntry {
@@ -322,6 +322,33 @@ fn v4_layout(tag: &str) -> PathBuf {
     };
     manifest.save(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
     dir
+}
+
+/// An uncommitted migration leaves the legacy layout exactly as it
+/// was: the v4 manifest, every file it names matching its size and
+/// CRC-32, and serving refusing it with the migration hint.
+fn assert_v4_intact(dir: &std::path::Path, budget: usize) {
+    let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
+    manifest.validate().unwrap();
+    assert_eq!(
+        (manifest.n, manifest.artifact_format_version),
+        (N, 4),
+        "budget {budget}: Err but manifest committed"
+    );
+    for entry in &manifest.shards {
+        let raw = std::fs::read(dir.join(&entry.file)).unwrap();
+        assert_eq!(
+            (raw.len() as u64, mvag_data::codec::crc32(&raw)),
+            (entry.bytes, entry.crc32),
+            "budget {budget}: {} altered",
+            entry.file
+        );
+    }
+    let err = ShardRouter::open(dir, RouterConfig::default()).unwrap_err();
+    assert!(
+        err.to_string().contains("sgla-serve compact"),
+        "budget {budget}: {err}"
+    );
 }
 
 /// Compaction doubles as the v4 → v5 migration path: it reads legacy
@@ -354,17 +381,12 @@ fn torn_compaction_migrates_v4_shards_to_v5_or_not_at_all() {
         let result = compact_sharded(&dir, &mut writer);
 
         // Old-or-new holds across the *format* boundary too: the
-        // wreckage loads as either the v4 or the v5 layout.
-        let n_now = assert_loadable(&dir, &[N, new_n]);
-        let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
+        // wreckage is either the intact v4 layout (which serving
+        // refuses and compaction reads) or the loadable v5 one.
         if result.is_ok() {
-            assert_eq!(n_now, new_n, "budget {budget}: Ok but old layout");
+            assert_loadable(&dir, &[new_n]);
         } else {
-            assert_eq!(n_now, N, "budget {budget}: Err but manifest committed");
-            assert_eq!(
-                manifest.artifact_format_version, 4,
-                "budget {budget}: version bumped without commit"
-            );
+            assert_v4_intact(&dir, budget);
         }
 
         // Retry converges; the committed layout is v5 through and

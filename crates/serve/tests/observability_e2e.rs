@@ -392,7 +392,7 @@ fn version_build_block_and_metrics_families() {
         .iter()
         .map(|v| v.as_usize().unwrap())
         .collect();
-    assert_eq!(formats, vec![1, 2, 3, 4, 5]);
+    assert_eq!(formats, vec![5]);
     assert!(build
         .get("delta_formats_supported")
         .unwrap()

@@ -154,7 +154,7 @@ proptest! {
 
         let (owned_artifact, norms) = Artifact::load_with_norms(&path).unwrap();
         let owned = QueryEngine::pinned(
-            ShardEngine::owned(owned_artifact, norms, Some(index.clone()), None).unwrap(),
+            ShardEngine::owned(owned_artifact, Some(norms), Some(index.clone()), None).unwrap(),
             EngineConfig::default(),
         );
         let mapped = QueryEngine::from_mapped(

@@ -764,7 +764,7 @@ mod tests {
         let mut v: Vec<f64> = (0..n)
             .map(|j| 1.0 - (2.0 * PI * j as f64 / n as f64).cos())
             .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v.sort_by(f64::total_cmp);
         v
     }
 

@@ -218,7 +218,7 @@ mod tests {
         let mut expect: Vec<f64> = (0..n)
             .map(|j| 1.0 - (2.0 * PI * j as f64 / n as f64).cos())
             .collect();
-        expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        expect.sort_by(f64::total_cmp);
         for j in 0..12 {
             assert!(
                 (res.values[j] - expect[j]).abs() < 0.03,
