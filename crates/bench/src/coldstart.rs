@@ -33,13 +33,14 @@
 //! `cold_start` (full) or `cold_start_smoke`.
 
 use mvag_data::json::Value;
-use mvag_data::{ShardEntry, ShardManifest};
+use mvag_data::{FsWriter, ShardManifest};
 use mvag_sparse::{CsrMatrix, DenseMatrix};
 use sgla_serve::artifact::FORMAT_VERSION;
+use sgla_serve::publish::{balanced_ranges, commit_layout, Shard};
 use sgla_serve::store::MmapMode;
 use sgla_serve::{
     Artifact, ArtifactMeta, ClusterInfo, EngineConfig, Neighbor, QueryBackend, RouterConfig,
-    ShardRouter,
+    ServeError, ShardRouter,
 };
 use std::path::Path;
 use std::time::Instant;
@@ -170,17 +171,13 @@ fn cell(seed: u64, flat_index: u64) -> f64 {
 fn synthesize_layout(config: &ColdStartConfig, dir: &Path) -> Result<ShardManifest, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let (n, k, dim) = (config.n, config.k, config.dim);
-    let shards = config.shards.clamp(1, n.max(1));
     let centroid_data: Vec<f64> = (0..k * dim)
         .map(|i| cell(config.seed.wrapping_add(1), i as u64))
         .collect();
-    let base = n / shards;
-    let extra = n % shards;
-    let mut entries = Vec::with_capacity(shards);
-    let mut row_start = 0usize;
-    for i in 0..shards {
-        let rows = base + usize::from(i < extra);
-        let row_end = row_start + rows;
+    let shard = |(row_start, row_end): (usize, usize)| -> sgla_serve::Result<Shard> {
+        let rows = row_end - row_start;
+        let invalid =
+            |e: String| ServeError::InvalidArgument(format!("shard at row {row_start}: {e}"));
         let emb: Vec<f64> = (row_start * dim..row_end * dim)
             .map(|g| cell(config.seed, g as u64))
             .collect();
@@ -191,7 +188,7 @@ fn synthesize_layout(config: &ColdStartConfig, dir: &Path) -> Result<ShardManife
         let indptr: Vec<usize> = (0..=rows).collect();
         let cols: Vec<usize> = (row_start..row_end).collect();
         let vals = vec![1.0f64; rows];
-        let artifact = Artifact {
+        Ok(Shard::Write(Box::new(Artifact {
             meta: ArtifactMeta {
                 dataset: "coldstart-synth".to_string(),
                 n,
@@ -206,47 +203,28 @@ fn synthesize_layout(config: &ColdStartConfig, dir: &Path) -> Result<ShardManife
             },
             weights: vec![1.0],
             laplacian: CsrMatrix::from_raw_parts(rows, n, indptr, cols, vals)
-                .map_err(|e| format!("shard {i} laplacian: {e}"))?,
+                .map_err(|e| invalid(format!("laplacian: {e}")))?,
             labels: (row_start..row_end).map(|r| r % k).collect(),
             centroids: DenseMatrix::from_vec(k, dim, centroid_data.clone())
-                .map_err(|e| format!("centroids: {e}"))?,
+                .map_err(|e| invalid(format!("centroids: {e}")))?,
             embedding: DenseMatrix::from_vec(rows, dim, emb)
-                .map_err(|e| format!("shard {i} embedding: {e}"))?,
+                .map_err(|e| invalid(format!("embedding: {e}")))?,
             tombstones: Vec::new(),
-        };
-        let encoded = artifact
-            .encode()
-            .map_err(|e| format!("encoding shard {i}: {e}"))?;
-        let file = Artifact::shard_file_name(i);
-        std::fs::write(dir.join(&file), encoded.as_ref())
-            .map_err(|e| format!("writing shard {i}: {e}"))?;
-        entries.push(ShardEntry {
-            file,
-            row_start,
-            row_end,
-            bytes: encoded.len() as u64,
-            crc32: mvag_data::codec::crc32(encoded.as_ref()),
-            tombstones: 0,
-            ..Default::default()
-        });
-        row_start = row_end;
-    }
-    let manifest = ShardManifest {
+        })))
+    };
+    let header = ShardManifest {
         dataset: "coldstart-synth".to_string(),
         n,
         k,
         dim,
         seed: config.seed,
         artifact_format_version: FORMAT_VERSION,
-        update_count: 0,
-        compaction_count: 0,
-        id_map: None,
-        shards: entries,
+        ..ShardManifest::default()
     };
-    manifest
-        .save(&dir.join(Artifact::MANIFEST_FILE))
-        .map_err(|e| format!("writing manifest: {e}"))?;
-    Ok(manifest)
+    let shards = balanced_ranges(n, config.shards).into_iter().map(shard);
+    commit_layout(dir, None, header, shards, None, &mut FsWriter)
+        .map(|(manifest, _)| manifest)
+        .map_err(|e| format!("writing the layout: {e}"))
 }
 
 fn open_router(dir: &Path, mmap: MmapMode) -> Result<ShardRouter, String> {

@@ -26,7 +26,7 @@
 //!   byte-level spec.
 
 use crate::codec::{get_f64s, get_u64s, seal, unseal};
-use crate::{DataError, Result};
+use crate::{DataError, FsWriter, LayoutWriter, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mvag_graph::{DeltaEdit, MvagDelta, ViewDelta};
 use mvag_sparse::DenseMatrix;
@@ -271,12 +271,12 @@ pub fn decode_delta(bytes: Bytes) -> Result<MvagDelta> {
     })
 }
 
-/// Saves a delta to `path`.
+/// Saves a delta to `path`, replacing any existing file by rename.
 ///
 /// # Errors
 /// I/O failures.
 pub fn save_delta(delta: &MvagDelta, path: &Path) -> Result<()> {
-    fs::write(path, encode_delta(delta))?;
+    FsWriter.replace(path, encode_delta(delta).as_ref())?;
     Ok(())
 }
 

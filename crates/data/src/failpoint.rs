@@ -1,8 +1,8 @@
 //! Filesystem indirection for crash-consistency testing.
 //!
-//! Every multi-file layout mutation in the workspace (sharded
-//! compaction, in-place shard append) funnels its filesystem effects
-//! through the [`LayoutWriter`] trait so tests can substitute a
+//! Every artifact, manifest, sidecar and delta write funnels its
+//! filesystem effects through the [`LayoutWriter`] trait so tests can
+//! substitute a
 //! [`FailpointWriter`] that dies — with a torn, truncated final write —
 //! at any chosen byte boundary. The crash-consistency harness sweeps
 //! the budget over every boundary of a rewrite and asserts the layout
@@ -11,8 +11,9 @@
 //!
 //! Production code uses [`FsWriter`], a zero-cost passthrough to
 //! `std::fs`. The protocol that makes torn writes safe is the caller's
-//! job (write new generational files, then commit with one atomic
-//! rename); this module only makes the failure points injectable.
+//! job (new bytes under a name no reader holds, committed with one
+//! rename: [`LayoutWriter::replace`] for a single file); this module
+//! only makes the failure points injectable.
 
 use std::fs;
 use std::io;
@@ -44,6 +45,19 @@ pub trait LayoutWriter {
     /// # Errors
     /// Propagates I/O failures.
     fn remove_file(&mut self, path: &Path) -> io::Result<()>;
+
+    /// Replaces `path` with `bytes`: writes `<path>.tmp`, then renames
+    /// it onto `path`. A crash leaves the old or the new file at `path`.
+    ///
+    /// # Errors
+    /// Propagates I/O failures of either step.
+    fn replace(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        let tmp = Path::new(&tmp);
+        self.write_file(tmp, bytes)?;
+        self.rename(tmp, path)
+    }
 }
 
 /// The production writer: a passthrough to `std::fs`.
@@ -160,6 +174,24 @@ mod tests {
         assert_eq!(fs::read(&b).unwrap(), b"hello");
         w.remove_file(&b).unwrap();
         assert!(!b.exists());
+    }
+
+    #[test]
+    fn replace_commits_by_rename() {
+        let path = tmp("replace");
+        fs::write(&path, b"old").unwrap();
+        let held = fs::File::open(&path).unwrap();
+        // A torn write lands in the temp file; `path` keeps the old bytes.
+        assert!(FailpointWriter::new(2).replace(&path, b"new!").is_err());
+        assert_eq!(fs::read(&path).unwrap(), b"old");
+        FsWriter.replace(&path, b"new!").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new!");
+        // A reader that opened the old file still reads the old bytes.
+        let mut old = String::new();
+        io::Read::read_to_string(&mut &held, &mut old).unwrap();
+        assert_eq!(old, "old");
+        fs::remove_file(&path).ok();
+        fs::remove_file(tmp("replace.tmp")).ok();
     }
 
     #[test]

@@ -155,15 +155,6 @@ impl IdMap {
         Ok(map)
     }
 
-    /// Saves the map as pretty JSON.
-    ///
-    /// # Errors
-    /// I/O failures.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        fs::write(path, self.to_json())?;
-        Ok(())
-    }
-
     /// Loads and validates a map from `path`.
     ///
     /// # Errors
@@ -216,7 +207,7 @@ mod tests {
         assert_eq!(IdMap::from_json(&map.to_json()).unwrap(), map);
         let path =
             std::env::temp_dir().join(format!("sgla-idmap-test-{}.json", std::process::id()));
-        map.save(&path).unwrap();
+        fs::write(&path, map.to_json()).unwrap();
         let back = IdMap::load(&path).unwrap();
         fs::remove_file(&path).ok();
         assert_eq!(back, map);

@@ -36,7 +36,7 @@
 //! ```
 
 use crate::json::{self, Value};
-use crate::{DataError, Result};
+use crate::{DataError, FsWriter, LayoutWriter, Result};
 use std::fs;
 use std::path::Path;
 
@@ -361,12 +361,12 @@ impl ShardManifest {
         Ok(manifest)
     }
 
-    /// Saves the manifest as pretty JSON.
+    /// Saves the manifest as pretty JSON, replacing `path` by rename.
     ///
     /// # Errors
     /// I/O failures.
     pub fn save(&self, path: &Path) -> Result<()> {
-        fs::write(path, self.to_json())?;
+        FsWriter.replace(path, self.to_json().as_bytes())?;
         Ok(())
     }
 

@@ -4,6 +4,7 @@
 use crate::{IndexError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mvag_data::codec::{get_f64s, get_u32s, get_u64s, seal, unseal};
+use mvag_data::{FsWriter, LayoutWriter};
 use mvag_sparse::{parallel, vecops, DenseMatrix, RowMatrix};
 use sgla_core::kmeans::{kmeans, KMeansParams};
 use std::path::Path;
@@ -510,12 +511,12 @@ impl IvfIndex {
         })
     }
 
-    /// Saves the index to `path`.
+    /// Saves the index to `path`, replacing any existing file by rename.
     ///
     /// # Errors
     /// I/O failures.
     pub fn save(&self, path: &Path) -> Result<()> {
-        std::fs::write(path, self.encode())?;
+        FsWriter.replace(path, self.encode().as_ref())?;
         Ok(())
     }
 

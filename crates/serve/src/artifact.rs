@@ -38,7 +38,8 @@ use mvag_data::codec::{
     align_up, f64s_from_le, get_f64s, get_u32s, get_u64s, put_f64s_le, put_str, seal, seal_version,
     unseal, SEAL_HEADER_LEN, SECTION_ALIGN,
 };
-use mvag_data::manifest::{ShardEntry, ShardManifest};
+use mvag_data::manifest::ShardManifest;
+use mvag_data::{FsWriter, LayoutWriter};
 use mvag_graph::{Mvag, MvagDelta};
 use mvag_sparse::{vecops, CsrMatrix, DenseMatrix};
 use sgla_core::clustering::{label_indicator_init, spectral_clustering_with, SpectralParams};
@@ -109,6 +110,10 @@ impl ArtifactSection {
 pub struct ArtifactFileInfo {
     /// Total file size in bytes.
     pub file_bytes: u64,
+    /// Node count `n` from the head.
+    pub n: usize,
+    /// Number of tombstoned rows from the head.
+    pub tombstones: usize,
     /// The section table.
     pub sections: Vec<ArtifactSection>,
 }
@@ -834,12 +839,13 @@ impl Artifact {
         self.tombstones.binary_search(&node).is_ok()
     }
 
-    /// Saves the artifact to `path`.
+    /// Saves the artifact to `path`, replacing any existing file by
+    /// rename (see [`crate::publish`](mod@crate::publish)).
     ///
     /// # Errors
     /// I/O failures.
     pub fn save(&self, path: &Path) -> Result<()> {
-        fs::write(path, self.encode()?)?;
+        FsWriter.replace(path, self.encode()?.as_ref())?;
         Ok(())
     }
 
@@ -863,17 +869,20 @@ impl Artifact {
     }
 
     /// Reads codec-level facts about an artifact file without decoding
-    /// the payload: file size and the section table with per-section
-    /// byte sizes.
+    /// the payload: file size, `n` and the tombstone count, and the
+    /// section table with per-section byte sizes.
     ///
     /// # Errors
     /// I/O failures; [`ServeError::Corrupt`] for non-SGLA files, older
     /// formats, or a malformed head.
     pub fn read_file_info(path: &Path) -> Result<ArtifactFileInfo> {
         let raw = fs::read(path)?;
+        let head = parse_v5_head(&raw)?;
         Ok(ArtifactFileInfo {
             file_bytes: raw.len() as u64,
-            sections: parse_v5_head(&raw)?.sections.to_vec(),
+            n: head.meta.n,
+            tombstones: head.tombstones.len(),
+            sections: head.sections.to_vec(),
         })
     }
 
@@ -966,7 +975,9 @@ impl Artifact {
     ///
     /// Every shard file is a self-contained artifact; the manifest
     /// records each file's byte size and whole-file CRC-32 so a router
-    /// can verify shards before decoding them.
+    /// can verify shards before decoding them. Over an existing layout
+    /// the shards get generational names and the manifest commits by
+    /// rename (see [`crate::publish`](mod@crate::publish)).
     ///
     /// ```
     /// use sgla_serve::{Artifact, TrainConfig};
@@ -987,57 +998,7 @@ impl Artifact {
     /// [`ServeError::InvalidArgument`] if this artifact is not full;
     /// I/O failures writing the files.
     pub fn save_sharded(&self, dir: &Path, shards: usize) -> Result<ShardManifest> {
-        if !self.meta.is_full() {
-            return Err(ServeError::InvalidArgument(
-                "can only shard a full artifact".into(),
-            ));
-        }
-        let n = self.meta.n;
-        let shards = shards.clamp(1, n.max(1));
-        fs::create_dir_all(dir)?;
-        // Balanced split: the first `n % shards` shards get one extra
-        // row, so sizes differ by at most one.
-        let base = n / shards;
-        let extra = n % shards;
-        let mut entries = Vec::with_capacity(shards);
-        let mut row_start = 0usize;
-        for i in 0..shards {
-            let rows = base + usize::from(i < extra);
-            let row_end = row_start + rows;
-            let shard = self.shard(row_start, row_end)?;
-            let encoded = shard.encode()?;
-            let file = Self::shard_file_name(i);
-            fs::write(dir.join(&file), encoded.as_ref())?;
-            entries.push(ShardEntry {
-                file,
-                row_start,
-                row_end,
-                bytes: encoded.len() as u64,
-                crc32: crc32(encoded.as_ref()),
-                tombstones: shard.tombstones.len(),
-                ..Default::default()
-            });
-            row_start = row_end;
-        }
-        let manifest = ShardManifest {
-            dataset: self.meta.dataset.clone(),
-            n,
-            k: self.meta.k,
-            dim: self.meta.dim,
-            seed: self.meta.seed,
-            artifact_format_version: FORMAT_VERSION,
-            update_count: self.meta.update_count,
-            compaction_count: self.meta.compaction_count,
-            id_map: None,
-            shards: entries,
-        };
-        manifest
-            .validate()
-            .map_err(|e| ServeError::Corrupt(e.to_string()))?;
-        manifest
-            .save(&dir.join(Self::MANIFEST_FILE))
-            .map_err(|e| ServeError::Server(format!("writing manifest: {e}")))?;
-        Ok(manifest)
+        crate::publish::write_layout(self, dir, shards, &mut FsWriter)
     }
 }
 
@@ -1531,13 +1492,17 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let a = small_artifact();
+        let mut a = small_artifact();
+        a.tombstones = vec![3, 17];
         let dir = std::env::temp_dir().join("sgla-artifact-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.sgla");
         a.save(&path).unwrap();
         let back = Artifact::load(&path).unwrap();
         assert_eq!(a, back);
+        // The head alone answers `n` and the tombstone count.
+        let info = Artifact::read_file_info(&path).unwrap();
+        assert_eq!((info.n, info.tombstones), (a.meta.n, 2));
         fs::remove_file(&path).ok();
     }
 

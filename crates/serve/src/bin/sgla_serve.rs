@@ -35,11 +35,12 @@
 //!                   --replay d1.mvd --notify 127.0.0.1:7878
 //! ```
 
+use mvag_data::FsWriter;
 use mvag_graph::generators::{random_append_delta, AppendConfig};
 use sgla_serve::store::MmapMode;
 use sgla_serve::{
-    is_layout_path, Artifact, BackendLoader, EngineConfig, IvfConfig, IvfIndex, QueryBackend,
-    RouterConfig, Server, ServerConfig, ShardRouter, TrainConfig,
+    is_layout_path, publish, Artifact, BackendLoader, EngineConfig, IvfConfig, IvfIndex,
+    QueryBackend, RouterConfig, Server, ServerConfig, ShardRouter, TrainConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -117,9 +118,12 @@ const USAGE: &str = "usage:
   objectives GET /health grades against (0 = objective off;
   live-tunable via PUT /debug/slo).
   update --artifact <shard dir> --delta d.mvd appends in place:
-  only the tail shard and the manifest are rewritten.
+  only a new tail shard and the manifest are written.
   compact purges tombstones: sharded layouts rewrite only dirty
-  shards and re-point the rest via the id-map sidecar.";
+  shards and re-point the rest via the id-map sidecar.
+  train, update and compact replace files by rename, so a running
+  server keeps its answers until it reloads; replace a served
+  artifact by hand with mv, never by writing over it.";
 
 /// Arms pipeline tracing when `--trace <path>` was passed: clears any
 /// stale spans and returns the output path.
@@ -242,7 +246,7 @@ fn train(args: &[String]) -> Result<(), String> {
     config.embed.dim = flags.parse_num("dim", 64)?;
     // Parse before training: a bad value must not cost a training run.
     let shards: usize = flags.parse_num("shards", 1)?;
-    let index_config = flags.parse_index()?;
+    let index = flags.parse_index()?;
     let trace_out = trace_path(&flags);
     let started = std::time::Instant::now();
     let unconverged_before = mvag_sparse::eigen::unconverged_pairs();
@@ -261,56 +265,39 @@ fn train(args: &[String]) -> Result<(), String> {
     if let Some(path) = &trace_out {
         write_trace(path)?;
     }
-    if shards > 1 {
-        // Sharded layout: --out is a directory holding the manifest
-        // plus one self-contained artifact per row-range shard.
-        let manifest = artifact
-            .save_sharded(&out, shards)
-            .map_err(|e| e.to_string())?;
-        let total: u64 = manifest.shards.iter().map(|s| s.bytes).sum();
-        println!(
-            "wrote {} shards + {} to {} ({total} bytes total)",
-            manifest.shards.len(),
-            Artifact::MANIFEST_FILE,
-            out.display()
-        );
-        print_shard_table(&manifest);
-        if let Some(ivf) = &index_config {
-            // One IVF sidecar per shard, over that shard's rows, so
-            // the router can probe shards independently.
-            for (i, entry) in manifest.shards.iter().enumerate() {
-                let shard = artifact
-                    .shard(entry.row_start, entry.row_end)
-                    .map_err(|e| e.to_string())?;
-                let index = shard.build_ivf(ivf).map_err(|e| e.to_string())?;
-                let path = out.join(Artifact::shard_index_file_name(i));
-                index.save(&path).map_err(|e| e.to_string())?;
-                println!(
-                    "  {}  ivf nlist={} over rows {}..{}",
-                    path.file_name().and_then(|f| f.to_str()).unwrap_or("?"),
-                    index.nlist(),
-                    entry.row_start,
-                    entry.row_end
-                );
-            }
-        }
-    } else {
-        // Encode once: save() would re-run the full encode (including
-        // the CRC pass) just to learn the byte count.
-        let encoded = artifact.encode().map_err(|e| e.to_string())?;
-        std::fs::write(&out, encoded.as_ref()).map_err(|e| e.to_string())?;
-        println!("wrote {} ({} bytes)", out.display(), encoded.len());
-        if let Some(ivf) = &index_config {
-            let index = artifact.build_ivf(ivf).map_err(|e| e.to_string())?;
-            let path = Artifact::index_sidecar_path(&out);
-            index.save(&path).map_err(|e| e.to_string())?;
+    publish_to(&out, &artifact, shards, index.as_ref())
+}
+
+/// Publishes `artifact` at `out` — a file, or with `shards > 1` a
+/// layout directory — and prints what was written.
+fn publish_to(
+    out: &Path,
+    artifact: &Artifact,
+    shards: usize,
+    index: Option<&IvfConfig>,
+) -> Result<(), String> {
+    let published =
+        publish(artifact, out, shards, index, &mut FsWriter).map_err(|e| e.to_string())?;
+    match &published.manifest {
+        Some(manifest) => {
             println!(
-                "wrote {} (ivf, nlist={}, {} rows)",
-                path.display(),
-                index.nlist(),
-                index.rows()
+                "wrote {} shards + {} to {} ({} bytes total)",
+                manifest.shards.len(),
+                Artifact::MANIFEST_FILE,
+                out.display(),
+                published.bytes
             );
+            print_shard_table(manifest);
         }
+        None => println!("wrote {} ({} bytes)", out.display(), published.bytes),
+    }
+    for (path, index) in &published.sidecars {
+        println!(
+            "wrote {} (ivf, nlist={}, {} rows)",
+            path.display(),
+            index.nlist(),
+            index.rows()
+        );
     }
     Ok(())
 }
@@ -502,33 +489,29 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Compacts the artifact at `path` before a (re)load when its
-/// tombstoned fraction has reached `threshold`. Failures are logged,
-/// not fatal: the uncompacted artifact still serves correctly
-/// (tombstones are masked at query time), so a broken background
-/// compaction must never take the server down.
+/// tombstoned fraction has reached `threshold`. The count comes from
+/// the manifest or the file's head, so nothing is decoded here.
+/// Failures are logged, not fatal: the uncompacted artifact still
+/// serves correctly (tombstones are masked at query time), so a broken
+/// background compaction must never take the server down.
 fn maybe_auto_compact(path: &Path, threshold: f64) {
     let result = (|| -> Result<Option<sgla_serve::CompactionStats>, String> {
         let (dead, n) = if is_layout_path(path) {
-            let manifest_path = if path.is_dir() {
-                path.join(Artifact::MANIFEST_FILE)
-            } else {
-                path.to_path_buf()
-            };
-            let manifest =
-                mvag_data::ShardManifest::load(&manifest_path).map_err(|e| e.to_string())?;
+            let (manifest, _) =
+                sgla_serve::compact::open_layout(path).map_err(|e| e.to_string())?;
             let dead: usize = manifest.shards.iter().map(|e| e.tombstones).sum();
             (dead, manifest.n)
         } else {
-            let artifact = Artifact::load(path).map_err(|e| e.to_string())?;
-            (artifact.tombstone_count(), artifact.meta.n)
+            let info = Artifact::read_file_info(path).map_err(|e| e.to_string())?;
+            (info.tombstones, info.n)
         };
         if n == 0 || (dead as f64) < threshold * n as f64 {
             return Ok(None);
         }
         let stats = if is_layout_path(path) {
-            sgla_serve::compact_sharded(path, &mut mvag_data::FsWriter)
+            sgla_serve::compact_sharded(path, &mut FsWriter)
         } else {
-            sgla_serve::compact_monolithic(path, path, &mut mvag_data::FsWriter)
+            sgla_serve::compact_monolithic(path, path, &mut FsWriter)
         }
         .map_err(|e| e.to_string())?;
         Ok(Some(stats))
@@ -569,13 +552,10 @@ fn notify_reload(flags: &Flags) -> Result<(), String> {
 /// and migrate a file or layout in an older format (v1–v4, which
 /// serving refuses) to v5.
 ///
-/// Sharded layouts compact in place: only dirty shards (tombstoned or
-/// stale) are rewritten, clean shard files stay byte-identical and are
-/// re-pointed through the id-map sidecar, and the new manifest commits
-/// with one atomic rename (a kill at any point leaves either the old
-/// or the new layout fully loadable). Monolithic artifacts are
-/// rewritten whole (to `--out`, default in place) with the same
-/// tmp-file + rename commit. `--notify` hot-swaps a running server.
+/// Sharded layouts rewrite only dirty shards (tombstoned or stale);
+/// monolithic artifacts are rewritten whole to `--out` (default: the
+/// same path). Both commit by rename, so a kill at any point leaves the
+/// old or the new artifact loadable. `--notify` hot-swaps a server.
 fn compact(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     let path = PathBuf::from(
@@ -587,14 +567,13 @@ fn compact(args: &[String]) -> Result<(), String> {
         if flags.get("out").is_some() {
             return Err("sharded layouts compact in place; --out applies to single files".into());
         }
-        sgla_serve::compact_sharded(&path, &mut mvag_data::FsWriter).map_err(|e| e.to_string())?
+        sgla_serve::compact_sharded(&path, &mut FsWriter).map_err(|e| e.to_string())?
     } else {
         let out = flags
             .get("out")
             .map(PathBuf::from)
             .unwrap_or_else(|| path.clone());
-        sgla_serve::compact_monolithic(&path, &out, &mut mvag_data::FsWriter)
-            .map_err(|e| e.to_string())?
+        sgla_serve::compact_monolithic(&path, &out, &mut FsWriter).map_err(|e| e.to_string())?
     };
     if stats.is_noop() {
         println!("nothing to compact: no tombstones, no stale shards");
@@ -627,15 +606,11 @@ fn compact(args: &[String]) -> Result<(), String> {
 ///    nodes (default 5% of n) is synthesized (persist it with
 ///    `--delta-out` to keep the update replayable);
 /// 3. runs `Artifact::update` (reused weights, warm-started
-///    eigensolves, incremental centroid/label refresh) and writes the
-///    updated artifact (monolithic, or a re-manifested sharded
-///    layout with `--shards N`);
-/// 4. invalidates IVF sidecars: any existing index over the old rows
-///    is retrained over the updated artifact with its original
-///    parameters and overwritten (stale shard files/sidecars beyond
-///    the new shard count are deleted), so approximate top-k can never
-///    serve rows the index does not cover;
-/// 5. with `--notify HOST:PORT`, POSTs `/reload` to a running
+///    eigensolves, incremental centroid/label refresh) and publishes
+///    the result (monolithic, or a layout with `--shards N`) by rename,
+///    IVF sidecars rebuilt by `publish`'s rule — a server keeps serving
+///    the old artifact until it reloads;
+/// 4. with `--notify HOST:PORT`, POSTs `/reload` to a running
 ///    `sgla-serve serve` so it hot-swaps the updated artifact in.
 fn update(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
@@ -653,6 +628,7 @@ fn update(args: &[String]) -> Result<(), String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| artifact_path.clone());
     let shards: usize = flags.parse_num("shards", 1)?;
+    let index = flags.parse_index()?;
 
     // Reconstruct the base MVAG the artifact describes: regenerate the
     // root dataset, then replay any persisted deltas.
@@ -751,85 +727,7 @@ fn update(args: &[String]) -> Result<(), String> {
     if let Some(path) = &trace_out {
         write_trace(path)?;
     }
-    let updated = &outcome.artifact;
-
-    if shards > 1 {
-        let manifest = updated
-            .save_sharded(&out, shards)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "wrote {} shards + {} to {}",
-            manifest.shards.len(),
-            Artifact::MANIFEST_FILE,
-            out.display()
-        );
-        // Sidecar invalidation: retrain per-shard indexes if the old
-        // layout had any (same parameters as shard 0's old index), and
-        // delete stale files beyond the new shard count.
-        let old_sidecar = out.join(Artifact::shard_index_file_name(0));
-        let ivf = match flags.parse_index()? {
-            Some(cfg) => Some(cfg),
-            None => match IvfIndex::load(&old_sidecar) {
-                Ok(old) => Some(old.config()),
-                Err(_) => None,
-            },
-        };
-        if let Some(ivf) = &ivf {
-            for (i, entry) in manifest.shards.iter().enumerate() {
-                let shard = updated
-                    .shard(entry.row_start, entry.row_end)
-                    .map_err(|e| e.to_string())?;
-                let index = shard.build_ivf(ivf).map_err(|e| e.to_string())?;
-                index
-                    .save(&out.join(Artifact::shard_index_file_name(i)))
-                    .map_err(|e| e.to_string())?;
-            }
-            println!(
-                "retrained {} ivf sidecar(s) (nlist={}) over the updated rows",
-                manifest.shards.len(),
-                ivf.nlist
-            );
-        }
-        // Remove leftovers of a previously larger layout: a stale
-        // shard or index past the new count must never be picked up.
-        let mut stale = manifest.shards.len();
-        loop {
-            let shard_file = out.join(Artifact::shard_file_name(stale));
-            let index_file = out.join(Artifact::shard_index_file_name(stale));
-            let any = std::fs::remove_file(&shard_file).is_ok()
-                | std::fs::remove_file(&index_file).is_ok();
-            if !any {
-                break;
-            }
-            stale += 1;
-        }
-    } else {
-        let encoded = updated.encode().map_err(|e| e.to_string())?;
-        std::fs::write(&out, encoded.as_ref()).map_err(|e| e.to_string())?;
-        println!("wrote {} ({} bytes)", out.display(), encoded.len());
-        // Sidecar invalidation: a stale monolithic index no longer
-        // covers the appended rows — retrain it with its original
-        // parameters (or --index ivf's) and overwrite.
-        let sidecar = Artifact::index_sidecar_path(&out);
-        let ivf = match flags.parse_index()? {
-            Some(cfg) => Some(cfg),
-            None => match IvfIndex::load(&sidecar) {
-                Ok(old) => Some(old.config()),
-                Err(_) => None,
-            },
-        };
-        if let Some(ivf) = &ivf {
-            let index = updated.build_ivf(ivf).map_err(|e| e.to_string())?;
-            index.save(&sidecar).map_err(|e| e.to_string())?;
-            println!(
-                "retrained ivf sidecar {} (nlist={}, {} rows)",
-                sidecar.display(),
-                index.nlist(),
-                index.rows()
-            );
-        }
-    }
-
+    publish_to(&out, &outcome.artifact, shards, index.as_ref())?;
     notify_reload(&flags)
 }
 
@@ -848,8 +746,8 @@ fn update_sharded_in_place(flags: &Flags, path: &Path) -> Result<(), String> {
          and tombstones are purged with `sgla-serve compact`",
     )?;
     let delta = mvag_data::load_delta(Path::new(delta_file)).map_err(|e| e.to_string())?;
-    let stats = sgla_serve::append_sharded(path, &delta, &mut mvag_data::FsWriter)
-        .map_err(|e| e.to_string())?;
+    let stats =
+        sgla_serve::append_sharded(path, &delta, &mut FsWriter).map_err(|e| e.to_string())?;
     println!(
         "appended {} node(s) in place: rewrote shard {} + manifest ({} bytes), \
          {} shard file(s) untouched",

@@ -5,8 +5,8 @@
 //! and re-sharded) and *stale* shard files — files whose coordinates
 //! predate a later compaction or append and are rebased at load time
 //! via the manifest's per-entry file coordinates (see
-//! [`ShardEntry`]). This module turns the layout into a small storage
-//! engine:
+//! [`ShardEntry`](mvag_data::manifest::ShardEntry)). This module turns
+//! the layout into a small storage engine:
 //!
 //! * [`compact_sharded`] purges every tombstone from a layout,
 //!   rewriting only the *dirty* shards (tombstoned or stale) and
@@ -34,33 +34,19 @@
 //!
 //! # Crash consistency
 //!
-//! Every multi-file mutation follows the same commit protocol, driven
-//! through a [`LayoutWriter`] so tests can inject torn writes at any
-//! byte ([`mvag_data::FailpointWriter`]):
-//!
-//! 1. new shard files are written under *generational* names
-//!    (`shard-00002.g0007.sgla`) that no committed manifest references
-//!    — a crash mid-write leaves unreferenced garbage, never a corrupt
-//!    live file;
-//! 2. the id-map sidecar (if any) is written under a generational name
-//!    too;
-//! 3. the new manifest is written to `manifest.json.tmp` and committed
-//!    with one atomic rename over `manifest.json`;
-//! 4. old files are unlinked best-effort *after* the commit — a crash
-//!    here strands garbage but the committed layout is fully loadable.
-//!
-//! Before the rename readers see the old layout, after it the new one;
-//! there is no interleaving where a manifest references a missing or
-//! half-written file. `tests/crash_consistency.rs` kills the writer at
-//! every byte budget and proves exactly that.
+//! Every mutation commits by rename through
+//! [`crate::publish`](mod@crate::publish), driven through a
+//! [`LayoutWriter`] so tests can inject torn writes at any byte
+//! ([`mvag_data::FailpointWriter`]).
 
 use crate::artifact::{
     check_trainable, compact_csr, crc32, require_current, Artifact, ArtifactMeta, FORMAT_VERSION,
     MAGIC,
 };
+use crate::publish::{commit_layout, publish, Shard};
 use crate::{Result, ServeError};
 use bytes::Bytes;
-use mvag_data::manifest::{ShardEntry, ShardManifest};
+use mvag_data::manifest::ShardManifest;
 use mvag_data::{IdMap, LayoutWriter};
 use mvag_graph::{MvagDelta, ViewDelta};
 use mvag_sparse::{CsrMatrix, DenseMatrix};
@@ -269,7 +255,10 @@ pub struct AppendStats {
 
 /// Resolves `path` (a layout directory or the manifest file itself)
 /// to its parsed manifest and containing directory.
-pub(crate) fn open_layout(path: &Path) -> Result<(ShardManifest, PathBuf)> {
+///
+/// # Errors
+/// I/O failures and [`ServeError::Corrupt`] for a malformed manifest.
+pub fn open_layout(path: &Path) -> Result<(ShardManifest, PathBuf)> {
     let manifest_path = if path.is_dir() {
         path.join(Artifact::MANIFEST_FILE)
     } else {
@@ -419,21 +408,6 @@ pub(crate) fn rebase_shard(
     Ok(artifact)
 }
 
-/// The generation number the *next* commit against `manifest` uses in
-/// its file names: one past the total number of commits so far, so
-/// generational names never collide with a live file.
-fn next_generation(manifest: &ShardManifest) -> u64 {
-    manifest.update_count + manifest.compaction_count + 1
-}
-
-fn gen_shard_file(index: usize, generation: u64) -> String {
-    format!("shard-{index:05}.g{generation:04}.sgla")
-}
-
-fn gen_idmap_file(generation: u64) -> String {
-    format!("idmap-g{generation:04}.json")
-}
-
 /// Same values and column ids, wider column space.
 fn grow_csr_columns(m: &CsrMatrix, ncols: usize) -> Result<CsrMatrix> {
     CsrMatrix::from_raw_parts(
@@ -544,17 +518,15 @@ fn compact_sharded_inner(path: &Path, writer: &mut dyn LayoutWriter) -> Result<C
     let id_map = IdMap::new(manifest.n, purged)
         .map_err(|e| ServeError::Corrupt(format!("layout tombstones: {e}")))?;
     check_trainable(id_map.new_n)?;
-    let generation = next_generation(&manifest);
     let purged_below = |row: usize| id_map.purged.partition_point(|&p| p < row);
 
     let mut stats = CompactionStats {
         purged: id_map.purged.len(),
         ..CompactionStats::default()
     };
-    let mut entries: Vec<ShardEntry> = Vec::with_capacity(manifest.shards.len());
-    let mut stale_files: Vec<String> = Vec::new();
+    let mut plan: Vec<Shard> = Vec::with_capacity(manifest.shards.len());
     for (i, entry) in manifest.shards.iter().enumerate() {
-        let Some(a) = &loaded[i] else {
+        let Some(a) = loaded[i].take() else {
             // Clean shard: the file stays byte-identical; when ids
             // shifted, the entry is re-pointed through the id map.
             stats.shards_kept += 1;
@@ -566,16 +538,16 @@ fn compact_sharded_inner(path: &Path, writer: &mut dyn LayoutWriter) -> Result<C
                 e.file_row_end = Some(entry.row_end);
                 e.file_n = Some(manifest.n);
             }
-            entries.push(e);
+            plan.push(Shard::Keep(e));
             continue;
         };
         stats.dirty_bytes_before += entry.bytes;
-        stale_files.push(entry.file.clone());
         let live_global: Vec<usize> = (entry.row_start..entry.row_end)
             .filter(|&g| id_map.map(g).is_some())
             .collect();
         let Some(&first_live) = live_global.first() else {
             stats.shards_dropped += 1;
+            plan.push(Shard::Dropped);
             continue;
         };
         let new_start = id_map.map(first_live).expect("first_live is live");
@@ -600,67 +572,40 @@ fn compact_sharded_inner(path: &Path, writer: &mut dyn LayoutWriter) -> Result<C
                 update_count: manifest.update_count,
                 compaction_count: manifest.compaction_count + 1,
             },
-            weights: a.weights.clone(),
+            weights: a.weights,
             laplacian,
             labels,
-            centroids: a.centroids.clone(),
+            centroids: a.centroids,
             embedding,
             tombstones: Vec::new(),
         };
         shard.validate()?;
-        let encoded = shard.encode()?;
-        let file = gen_shard_file(i, generation);
-        writer.write_file(&dir.join(&file), encoded.as_ref())?;
-        stats.bytes_written += encoded.len() as u64;
         stats.shards_rewritten += 1;
-        entries.push(ShardEntry {
-            file,
-            row_start: shard.meta.row_start,
-            row_end: shard.meta.row_end,
-            bytes: encoded.len() as u64,
-            crc32: crc32(encoded.as_ref()),
-            ..ShardEntry::default()
-        });
+        plan.push(Shard::Write(Box::new(shard)));
     }
 
     // The id-map sidecar is only needed while some entry still points
     // at a shifted file.
-    let id_map_file = if entries.iter().any(|e| e.file_row_start.is_some()) {
-        let name = gen_idmap_file(generation);
-        let json = id_map.to_json();
-        writer.write_file(&dir.join(&name), json.as_bytes())?;
-        stats.bytes_written += json.len() as u64;
-        Some(name)
-    } else {
-        None
-    };
-    let new_manifest = ShardManifest {
-        dataset: manifest.dataset.clone(),
+    let shifted = plan
+        .iter()
+        .any(|s| matches!(s, Shard::Keep(e) if e.file_row_start.is_some()));
+    let header = ShardManifest {
         n: id_map.new_n,
-        k: manifest.k,
-        dim: manifest.dim,
-        seed: manifest.seed,
         artifact_format_version: FORMAT_VERSION,
-        update_count: manifest.update_count,
         compaction_count: manifest.compaction_count + 1,
-        id_map: id_map_file,
-        shards: entries,
+        id_map: None,
+        ..manifest.clone()
     };
-    new_manifest
-        .validate()
-        .map_err(|e| ServeError::Corrupt(format!("compacted manifest: {e}")))?;
-    commit_manifest(&dir, &new_manifest, writer, &mut stats.bytes_written)?;
-
-    // Post-commit cleanup is best-effort: a crash here strands
-    // unreferenced files, never an unloadable layout.
-    for file in stale_files {
-        let _ = writer.remove_file(&dir.join(file));
-    }
-    if let Some(old) = &manifest.id_map {
-        if new_manifest.id_map.as_ref() != Some(old) {
-            let _ = writer.remove_file(&dir.join(old));
-        }
-    }
+    let plan = plan.into_iter().map(Ok);
+    let (_, bytes) = commit_layout(
+        &dir,
+        Some(&manifest),
+        header,
+        plan,
+        shifted.then_some(&id_map),
+        writer,
+    )?;
+    stats.bytes_written = bytes;
     if !id_map.purged.is_empty() || stats.shards_dropped > 0 {
         // Every IVF sidecar indexes pre-compaction rows now.
         for i in 0..manifest.shards.len() {
@@ -893,72 +838,43 @@ fn append_sharded_inner(
         tombstones: a.tombstones.clone(),
     };
     shard.validate()?;
-    let encoded = shard.encode()?;
-    let generation = next_generation(&manifest);
-    let file = gen_shard_file(tail, generation);
-    writer.write_file(&dir.join(&file), encoded.as_ref())?;
-    let mut stats = AppendStats {
-        added,
-        tail_shard: tail,
-        shards_kept: tail,
-        bytes_written: encoded.len() as u64,
-    };
-
-    let mut entries: Vec<ShardEntry> = Vec::with_capacity(manifest.shards.len());
-    for (i, entry) in manifest.shards.iter().enumerate() {
-        if i == tail {
-            entries.push(ShardEntry {
-                file: file.clone(),
-                row_start: shard.meta.row_start,
-                row_end: shard.meta.row_end,
-                bytes: encoded.len() as u64,
-                crc32: crc32(encoded.as_ref()),
-                tombstones: shard.tombstones.len(),
-                ..ShardEntry::default()
-            });
-        } else {
-            // Untouched file: its ids are stable under append, it just
-            // predates the new `n` now.
+    // Untouched files keep their ids under append; they just predate
+    // the new `n` now.
+    let mut plan: Vec<Shard> = manifest.shards[..tail]
+        .iter()
+        .map(|entry| {
             let mut e = entry.clone();
             e.file_n = Some(e.file_n.unwrap_or(n_old));
-            entries.push(e);
-        }
-    }
-    let new_manifest = ShardManifest {
-        dataset: manifest.dataset.clone(),
+            Shard::Keep(e)
+        })
+        .collect();
+    plan.push(Shard::Write(Box::new(shard)));
+    let header = ShardManifest {
         n: n_new,
-        k: manifest.k,
-        dim: manifest.dim,
-        seed: manifest.seed,
         artifact_format_version: FORMAT_VERSION,
         update_count: manifest.update_count + 1,
-        compaction_count: manifest.compaction_count,
-        id_map: manifest.id_map.clone(),
-        shards: entries,
+        ..manifest.clone()
     };
-    new_manifest
-        .validate()
-        .map_err(|e| ServeError::Corrupt(format!("appended manifest: {e}")))?;
-    commit_manifest(&dir, &new_manifest, writer, &mut stats.bytes_written)?;
-
-    if new_manifest.shards[tail].file != manifest.shards[tail].file {
-        let _ = writer.remove_file(&dir.join(&manifest.shards[tail].file));
-    }
+    let plan = plan.into_iter().map(Ok);
+    let (_, bytes_written) = commit_layout(&dir, Some(&manifest), header, plan, None, writer)?;
     // Every IVF sidecar was trained for the old `n`; none survives.
     for i in 0..manifest.shards.len() {
         let _ = writer.remove_file(&dir.join(Artifact::shard_index_file_name(i)));
     }
-    Ok(stats)
+    Ok(AppendStats {
+        added,
+        tail_shard: tail,
+        shards_kept: tail,
+        bytes_written,
+    })
 }
 
 /// Purges a monolithic artifact's tombstones in place (or to `out`):
 /// the compacted artifact is written to a temp file and committed with
 /// one atomic rename. A file in an older format (v4 or earlier) is
 /// rewritten as v5 even without tombstones — compaction is the
-/// migration. An IVF sidecar of `out` is retrained over the
-/// compacted rows with its original parameters, or unlinked if that
-/// fails — a stale sidecar must never survive (its row coordinates no
-/// longer match and every load would fail).
+/// migration. An IVF sidecar of `out` is rebuilt or removed by
+/// [`publish`]'s rule, so a stale one never survives.
 ///
 /// # Errors
 /// Same as [`Artifact::compact`], plus I/O errors from `writer`.
@@ -997,45 +913,14 @@ fn compact_monolithic_inner(
     } else {
         return Ok(CompactionStats::default());
     };
-    let encoded = compacted.encode()?;
-    let tmp = out.with_extension("sgla.tmp");
-    writer.write_file(&tmp, encoded.as_ref())?;
-    writer.rename(&tmp, out)?;
-    let stats = CompactionStats {
+    let published = publish(&compacted, out, 1, None, writer)?;
+    Ok(CompactionStats {
         purged,
         shards_rewritten: 1,
-        shards_kept: 0,
-        shards_dropped: 0,
-        bytes_written: encoded.len() as u64,
+        bytes_written: published.bytes,
         dirty_bytes_before: before,
-    };
-    let sidecar = Artifact::index_sidecar_path(out);
-    if sidecar.is_file() {
-        let retrained = mvag_index::IvfIndex::load(&sidecar)
-            .ok()
-            .and_then(|old| compacted.build_ivf(&old.config()).ok())
-            .and_then(|index| index.save(&sidecar).ok());
-        if retrained.is_none() {
-            let _ = writer.remove_file(&sidecar);
-        }
-    }
-    Ok(stats)
-}
-
-/// Writes the manifest to `manifest.json.tmp` and commits it with one
-/// atomic rename — the single point where a mutation becomes visible.
-fn commit_manifest(
-    dir: &Path,
-    manifest: &ShardManifest,
-    writer: &mut dyn LayoutWriter,
-    bytes_written: &mut u64,
-) -> Result<()> {
-    let json = manifest.to_json();
-    let tmp = dir.join("manifest.json.tmp");
-    writer.write_file(&tmp, json.as_bytes())?;
-    *bytes_written += json.len() as u64;
-    writer.rename(&tmp, &dir.join(Artifact::MANIFEST_FILE))?;
-    Ok(())
+        ..CompactionStats::default()
+    })
 }
 
 /// The most frequent label among a shard's live rows (smallest label

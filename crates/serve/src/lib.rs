@@ -82,6 +82,7 @@ pub mod http;
 pub mod lru;
 pub mod metrics;
 pub mod parser;
+pub mod publish;
 pub mod router;
 pub mod slo;
 pub mod slowlog;
@@ -101,6 +102,7 @@ pub use engine::{ApproxQuery, ClusterInfo, EngineConfig, Neighbor, QueryEngine, 
 pub use error::ServeError;
 pub use http::{BackendLoader, ServeBackend, Server, ServerConfig};
 pub use mvag_index::{IvfConfig, IvfIndex};
+pub use publish::{publish, Published};
 pub use router::{is_layout_path, RouterConfig, ShardRouter};
 pub use slo::{HealthStatus, SloTracker};
 pub use slowlog::{SlowQuery, SlowQueryLog};

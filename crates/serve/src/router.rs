@@ -855,7 +855,7 @@ fn scan_chunk(
 }
 
 /// The one-entry manifest of a single artifact.
-fn one_shard_manifest(artifact: &Artifact) -> ShardManifest {
+pub(crate) fn one_shard_manifest(artifact: &Artifact) -> ShardManifest {
     let m = &artifact.meta;
     ShardManifest {
         dataset: m.dataset.clone(),

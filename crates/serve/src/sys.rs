@@ -220,9 +220,13 @@ pub(crate) struct Mmap {
     len: usize,
 }
 
-// SAFETY: the mapping is immutable (PROT_READ, MAP_PRIVATE, file open
-// read-only) for its whole lifetime, so shared references to it may
-// cross threads freely; the raw pointer is owned, not aliased mutably.
+// SAFETY: the mapping is read-only (PROT_READ, MAP_PRIVATE, file open
+// read-only) and immutable for its whole lifetime provided nobody
+// rewrites the mapped file in place: every writer in the workspace
+// replaces files by rename (`crate::publish`), which leaves the mapped
+// inode as it was, and operators replace artifacts with `mv`. So shared
+// references to it may cross threads freely; the raw pointer is owned,
+// not aliased mutably.
 unsafe impl Send for Mmap {}
 unsafe impl Sync for Mmap {}
 

@@ -1,10 +1,11 @@
-//! Crash-consistency battery for the sharded storage engine.
+//! Crash-consistency battery for the storage engine.
 //!
-//! Every multi-file layout mutation (`compact_sharded`,
-//! `append_sharded`) promises: a process killed at *any* point leaves
-//! the on-disk layout fully loadable as either the complete old state
-//! or the complete new state — never a mix — and a plain retry
-//! converges to the committed state with bit-identical answers.
+//! Every write (`compact_sharded`, `append_sharded`, and `publish` over
+//! an existing file or layout) promises: a process killed at *any*
+//! point leaves the artifact on disk fully loadable as either the
+//! complete old state or the complete new state — never a mix — and a
+//! plain retry converges to the committed state with bit-identical
+//! answers.
 //!
 //! The harness measures a mutation's total filesystem cost once with
 //! an effectively unlimited [`FailpointWriter`] budget, then replays
@@ -19,18 +20,21 @@
 //! A final end-to-end test proves the serving-layer contract: a torn
 //! compaction under a live reloadable server leaves `POST /reload`
 //! returning the *old* artifact (clean rollback), and a completed
-//! compaction swaps the purged one in.
+//! compaction swaps the purged one in. Because every write replaces by
+//! rename, a router that memory-mapped the old file or layout keeps
+//! answering bit-identically after a publish over it.
 
 use mvag_data::json::Value;
 use mvag_data::manifest::{ShardEntry, ShardManifest};
 use mvag_data::{FailpointWriter, FsWriter};
 use mvag_graph::{MvagDelta, ViewDelta};
 use mvag_sparse::DenseMatrix;
+use sgla_serve::store::MmapMode;
 use sgla_serve::{
-    append_sharded, compact_sharded, Artifact, HttpClient, QueryBackend, RouterConfig, Server,
-    ServerConfig, ShardRouter, TrainConfig,
+    append_sharded, compact_sharded, publish, Artifact, EngineConfig, HttpClient, QueryBackend,
+    RouterConfig, Server, ServerConfig, ShardRouter, TrainConfig,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 const N: usize = 36;
@@ -53,43 +57,84 @@ fn golden() -> &'static Artifact {
     })
 }
 
-/// A fresh sharded copy of the golden artifact under a unique dir.
-fn layout(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
+/// Node count of the artifact published over the golden one.
+const SMALL_N: usize = 30;
+
+/// A different, smaller artifact to publish over the golden one.
+fn smaller() -> &'static Artifact {
+    static SHARED: OnceLock<Artifact> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        let mvag = mvag_data::toy_mvag(SMALL_N, 3, 31);
+        let mut config = TrainConfig::default();
+        config.embed.dim = 6;
+        Artifact::train(&mvag, &config).unwrap()
+    })
+}
+
+/// A unique scratch path for `tag`, with nothing at it.
+fn scratch(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
         "sgla-crash-{tag}-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::remove_dir_all(&dir).ok();
+    remove(&path);
+    path
+}
+
+/// Removes a scratch file or layout, with its temp file.
+fn remove(path: &Path) {
+    std::fs::remove_dir_all(path).ok();
+    std::fs::remove_file(path).ok();
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    std::fs::remove_file(tmp).ok();
+}
+
+/// A fresh sharded copy of the golden artifact under a unique dir.
+fn layout(tag: &str) -> PathBuf {
+    let dir = scratch(tag);
     golden().save_sharded(&dir, SHARDS).unwrap();
     dir
 }
 
-/// Opens the layout and proves it is coherent: the manifest loads and
-/// validates, its `n` is one of the two legal states, the router
-/// serves it, and a cross-shard query answers. Returns the observed
-/// `n`.
-fn assert_loadable(dir: &std::path::Path, legal_n: &[usize]) -> usize {
-    let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
-    manifest.validate().unwrap();
+/// A fresh single-file copy of the golden artifact.
+fn file(tag: &str) -> PathBuf {
+    let path = scratch(tag);
+    golden().save(&path).unwrap();
+    path
+}
+
+fn open(path: &Path) -> ShardRouter {
+    ShardRouter::open(path, RouterConfig::default()).unwrap()
+}
+
+/// Opens the file or layout and proves it is coherent: a layout's
+/// manifest loads and validates, `n` is one of the two legal states,
+/// the router serves it, and a cross-shard query answers. Returns the
+/// observed `n`.
+fn assert_loadable(path: &Path, legal_n: &[usize]) -> usize {
+    let router = open(path);
+    let n = QueryBackend::meta(&router).n;
     assert!(
-        legal_n.contains(&manifest.n),
-        "manifest n = {} is neither old nor new ({legal_n:?})",
-        manifest.n
+        legal_n.contains(&n),
+        "n = {n} is neither old nor new ({legal_n:?})"
     );
-    let router = ShardRouter::open(dir, RouterConfig::default()).unwrap();
-    assert_eq!(QueryBackend::meta(&router).n, manifest.n);
+    if path.is_dir() {
+        let manifest = ShardManifest::load(&path.join(Artifact::MANIFEST_FILE)).unwrap();
+        manifest.validate().unwrap();
+        assert_eq!(manifest.n, n);
+    }
     // Fans out to every shard, so a missing or half-written live file
     // would surface here.
     let neighbors = router.top_k_similar(0, 5).unwrap();
     assert!(!neighbors.is_empty());
     router.embed_batch(&[0]).unwrap();
-    manifest.n
+    n
 }
 
 /// Answers that must be bit-identical across every recovery path.
-fn fingerprint(dir: &std::path::Path, probes: &[usize]) -> Vec<(usize, u64, Vec<u64>, Vec<u64>)> {
-    let router = ShardRouter::open(dir, RouterConfig::default()).unwrap();
+fn fingerprint(router: &ShardRouter, probes: &[usize]) -> Vec<(usize, u64, Vec<u64>, Vec<u64>)> {
     probes
         .iter()
         .map(|&node| {
@@ -137,7 +182,7 @@ fn compaction_survives_a_kill_at_every_point() {
     assert!(stats.purged == DEAD.len() && cost > 4, "cost = {cost}");
     let new_n = N - DEAD.len();
     let probes = [0usize, 10, new_n - 1];
-    let reference = fingerprint(&dir, &probes);
+    let reference = fingerprint(&open(&dir), &probes);
     std::fs::remove_dir_all(&dir).ok();
 
     for budget in budgets(cost) {
@@ -162,7 +207,7 @@ fn compaction_survives_a_kill_at_every_point() {
         let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
         assert_eq!(manifest.n, new_n, "budget {budget}: recovery lost rows");
         assert_eq!(
-            fingerprint(&dir, &probes),
+            fingerprint(&open(&dir), &probes),
             reference,
             "budget {budget}: recovered answers differ"
         );
@@ -193,7 +238,7 @@ fn append_survives_a_kill_at_every_point() {
     let cost = (1 << 30) - probe.remaining();
     assert!(stats.added == 2 && cost > 4, "cost = {cost}");
     let probes = [0usize, 20, N, N + 1];
-    let reference = fingerprint(&dir, &probes);
+    let reference = fingerprint(&open(&dir), &probes);
     std::fs::remove_dir_all(&dir).ok();
 
     for budget in budgets(cost) {
@@ -219,7 +264,7 @@ fn append_survives_a_kill_at_every_point() {
             "budget {budget}: recovery lost the append"
         );
         assert_eq!(
-            fingerprint(&dir, &probes),
+            fingerprint(&open(&dir), &probes),
             reference,
             "budget {budget}: recovered answers differ"
         );
@@ -327,7 +372,7 @@ fn v4_layout(tag: &str) -> PathBuf {
 /// An uncommitted migration leaves the legacy layout exactly as it
 /// was: the v4 manifest, every file it names matching its size and
 /// CRC-32, and serving refusing it with the migration hint.
-fn assert_v4_intact(dir: &std::path::Path, budget: usize) {
+fn assert_v4_intact(dir: &Path, budget: usize) {
     let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
     manifest.validate().unwrap();
     assert_eq!(
@@ -372,7 +417,7 @@ fn torn_compaction_migrates_v4_shards_to_v5_or_not_at_all() {
     let cost = (1 << 30) - probe.remaining();
     let new_n = N - DEAD.len();
     let probes = [0usize, 10, new_n - 1];
-    let reference = fingerprint(&dir, &probes);
+    let reference = fingerprint(&open(&dir), &probes);
     std::fs::remove_dir_all(&dir).ok();
 
     for budget in budgets(cost) {
@@ -396,7 +441,11 @@ fn torn_compaction_migrates_v4_shards_to_v5_or_not_at_all() {
         compact_sharded(&dir, &mut FsWriter).unwrap();
         let manifest = ShardManifest::load(&dir.join(Artifact::MANIFEST_FILE)).unwrap();
         assert_eq!(manifest.artifact_format_version, 5, "budget {budget}");
-        assert_eq!(fingerprint(&dir, &probes), reference, "budget {budget}");
+        assert_eq!(
+            fingerprint(&open(&dir), &probes),
+            reference,
+            "budget {budget}"
+        );
         if sgla_serve::store::MMAP_SUPPORTED {
             for (i, entry) in manifest.shards.iter().enumerate() {
                 assert!(
@@ -421,4 +470,92 @@ fn torn_compaction_migrates_v4_shards_to_v5_or_not_at_all() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Publishes the smaller artifact over the golden one at `path` (a
+/// single file when `shards` is 1, a layout otherwise) under a
+/// [`FailpointWriter`] at every budget: each kill leaves the old or
+/// the new artifact loadable, and a retry with [`FsWriter`] reaches
+/// the new one with the answers of an uninterrupted publish.
+fn assert_publish_survives_a_kill_at_every_point(seed: impl Fn(&str) -> PathBuf, shards: usize) {
+    let probes = [0usize, 10, SMALL_N - 1];
+    let path = seed("publish-ref");
+    let mut probe = FailpointWriter::new(1 << 30);
+    let published = publish(smaller(), &path, shards, None, &mut probe).unwrap();
+    assert!(!probe.died());
+    assert_eq!(published.manifest.is_some(), shards > 1);
+    let cost = (1 << 30) - probe.remaining();
+    let reference = fingerprint(&open(&path), &probes);
+    remove(&path);
+
+    for budget in budgets(cost) {
+        let path = seed(&format!("publish-{budget}"));
+        let mut writer = FailpointWriter::new(budget);
+        let result = publish(smaller(), &path, shards, None, &mut writer);
+        let n_now = assert_loadable(&path, &[N, SMALL_N]);
+        if result.is_ok() {
+            assert_eq!(n_now, SMALL_N, "budget {budget}: Ok but old artifact");
+        } else {
+            assert_eq!(n_now, N, "budget {budget}: Err but new artifact");
+        }
+        publish(smaller(), &path, shards, None, &mut FsWriter).unwrap();
+        assert_eq!(
+            fingerprint(&open(&path), &probes),
+            reference,
+            "budget {budget}: retried publish answers differ"
+        );
+        remove(&path);
+    }
+}
+
+#[test]
+fn publish_over_a_file_survives_a_kill_at_every_point() {
+    assert_publish_survives_a_kill_at_every_point(file, 1);
+}
+
+#[test]
+fn publish_over_a_layout_survives_a_kill_at_every_point() {
+    assert_publish_survives_a_kill_at_every_point(layout, SHARDS);
+}
+
+/// A server's memory-mapped view of the artifact at `path` survives a
+/// publish of a different, smaller artifact over it: until it reloads,
+/// the old router answers bit-identically, while a fresh open serves
+/// the new artifact. Writing the file in place instead would truncate
+/// the mapping under the old router (`SIGBUS`) or change its answers.
+fn assert_mapped_router_outlives_a_publish(path: &Path, shards: usize) {
+    if !sgla_serve::store::MMAP_SUPPORTED {
+        return;
+    }
+    let config = RouterConfig {
+        mmap: MmapMode::On,
+        cache_capacity: 0,
+        ..RouterConfig::default()
+    };
+    let mapped = ShardRouter::open(path, config).unwrap();
+    let old_probes = [0usize, 10, N - 1];
+    let before = fingerprint(&mapped, &old_probes);
+
+    publish(smaller(), path, shards, None, &mut FsWriter).unwrap();
+    assert_eq!(fingerprint(&mapped, &old_probes), before);
+
+    let fresh = open(path);
+    assert_eq!(QueryBackend::meta(&fresh).n, SMALL_N);
+    let new_probes = [0usize, 10, SMALL_N - 1];
+    let expected = ShardRouter::new(smaller().clone(), EngineConfig::default()).unwrap();
+    assert_eq!(
+        fingerprint(&fresh, &new_probes),
+        fingerprint(&expected, &new_probes)
+    );
+    remove(path);
+}
+
+#[test]
+fn mapped_router_over_a_file_outlives_a_publish() {
+    assert_mapped_router_outlives_a_publish(&file("mapped-file"), 1);
+}
+
+#[test]
+fn mapped_router_over_a_layout_outlives_a_publish() {
+    assert_mapped_router_outlives_a_publish(&layout("mapped-layout"), SHARDS);
 }

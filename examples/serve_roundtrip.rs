@@ -19,16 +19,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let artifact = Artifact::train(&mvag, &config)?;
 
     // 2. Persist and reload — the store is versioned and checksummed,
-    //    and the round-trip is bit-exact. Encode once and reuse the
-    //    bytes for both the size report and the file write.
-    let encoded = artifact.encode()?;
-    println!(
-        "trained: weights {:?}, {} bytes encoded",
-        artifact.weights,
-        encoded.len()
-    );
+    //    and the round-trip is bit-exact.
     let path = std::env::temp_dir().join("sgla-serve-roundtrip.sgla");
-    std::fs::write(&path, encoded.as_ref())?;
+    artifact.save(&path)?;
+    println!(
+        "trained: weights {:?}, {} bytes saved",
+        artifact.weights,
+        std::fs::metadata(&path)?.len()
+    );
     let loaded = Artifact::load(&path)?;
     assert_eq!(artifact, loaded);
     println!("saved + reloaded bit-exact from {}", path.display());
