@@ -189,9 +189,9 @@ pub fn run(config: &UpdateBenchConfig) -> Result<UpdateBenchReport, String> {
     let mut train_config = TrainConfig::default();
     train_config.sgla.seed = config.seed;
     train_config.embed.dim = config.dim;
-    // The spectral backend is the scalable path (NetMF densifies an
-    // n × n matrix) and the one whose eigensolvers accept warm starts;
-    // both sides of the comparison use it.
+    // The spectral backend is the scalable path (NetMF's similarity
+    // powers cost O(T·nnz·n)) and the one whose eigensolvers accept
+    // warm starts; both sides of the comparison use it.
     train_config.embed.backend = EmbedBackend::Spectral;
 
     let started = Instant::now();

@@ -444,7 +444,7 @@ pub fn attribute_svd_embedding(mvag: &Mvag, dim: usize, seed: u64) -> Result<Den
     }
     let rank = dim.min(n.saturating_sub(1)).min(total_d).max(1);
     let svd = mvag_sparse::svd::rsvd(
-        &concat,
+        &CsrMatrix::from_dense(&concat),
         rank,
         &mvag_sparse::svd::RsvdOptions {
             seed,

@@ -5,12 +5,13 @@
 //! ones. Here:
 //!
 //! * [`EmbedBackend::NetMf`] — a faithful NetMF-small: the integrated
-//!   graph's random-walk similarity `S = (1/T) Σ_t P̃ᵗ` is densified, the
-//!   pointwise log `max(·, 1)` transform applied, and the result factorized
+//!   graph's random-walk similarity `S = (1/T) Σ_t P̃ᵗ` is computed one
+//!   column panel at a time, the pointwise log `max(·, 1)` transform
+//!   applied, and the nonzeros of the result `M` (stored sparse) factorized
 //!   by randomized SVD; embedding = `U_d Σ_d^{1/2}`. `O((T−1)·nnz·n + n²)`
-//!   for the similarity (`P̃¹` is scattered, not multiplied) plus
-//!   `O(nnz(M)·d)` per randomized-SVD product — exactly the regime NetMF
-//!   targets.
+//!   time for the similarity (`P̃¹` is scattered, not multiplied) and
+//!   `O(nnz(M) + n·w)` memory for a panel width `w`, plus `O(nnz(M)·d)`
+//!   per randomized-SVD product — exactly the regime NetMF targets.
 //! * [`EmbedBackend::Spectral`] — the scalable substitute for SketchNE
 //!   (whose sparse-sign sketching we do not reproduce): the bottom
 //!   eigenpairs of `L` scaled by the DeepWalk spectral filter
@@ -36,7 +37,7 @@ pub enum EmbedBackend {
     /// Pick NetMF below `netmf_threshold` nodes, spectral above.
     #[default]
     Auto,
-    /// Dense NetMF factorization (exact small-window NetMF).
+    /// NetMF factorization (exact small-window NetMF).
     NetMf,
     /// Filtered spectral embedding (SketchNE substitute).
     Spectral,
@@ -52,7 +53,8 @@ pub struct EmbedParams {
     /// Negative-sampling parameter `b` (NetMF default 1).
     pub negative: f64,
     /// Above this node count, `Auto` switches to the spectral backend
-    /// (default 4096 — the dense `n × n` NetMF matrix is the limiter).
+    /// (default 4096 — NetMF's similarity powers cost `O(T·nnz·n)` time
+    /// and its sparse log similarity holds up to `n²` entries).
     pub netmf_threshold: usize,
     /// Backend override.
     pub backend: EmbedBackend,
@@ -92,7 +94,7 @@ pub fn embed(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
 /// padded with an approximate row per appended node. Only the
 /// [`EmbedBackend::Spectral`] path can exploit it (its eigensolvers
 /// accept initial blocks and stop early once warm Ritz values settle);
-/// NetMF is a dense factorization with no iterative state and ignores
+/// NetMF is a direct factorization with no iterative state and ignores
 /// the guess. Results differ from a cold [`embed`] only within the
 /// eigensolver's embedding-grade tolerance.
 ///
@@ -176,12 +178,9 @@ fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     let mut emb = DenseMatrix::zeros(n, params.dim);
     let m = {
         let mut span = mvag_obs::span("train.netmf_similarity");
-        let m = netmf_similarity(l, params)?;
-        if span.is_live() {
-            let nnz = m.data().iter().filter(|&&v| v != 0.0).count();
-            span.counter("similarity_nnz", nnz as u64);
-        }
-        m
+        let mt = netmf_similarity_transposed(l, params, panel_width(l.nrows()))?;
+        span.counter("similarity_nnz", mt.nnz() as u64);
+        mt.transpose()
     };
     // Rank-d randomized SVD; embedding = U √Σ.
     let svd = {
@@ -205,14 +204,37 @@ fn netmf_small(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
     Ok(emb)
 }
 
-/// NetMF's log similarity `M = log(max((vol/b) · D^{-1/2} S D^{-1/2}, 1))`
-/// with `S = (1/T) Σ_{t=1..T} P̃ᵗ`, densified.
+/// Bytes of the three `n × w` panel buffers of
+/// [`netmf_similarity_transposed`]: small enough to stay in a core's
+/// L2 cache.
+const PANEL_BYTES: usize = 3 << 19;
+
+/// The similarity panel width `w` for `n` nodes (35 at `n = 1872`, 17
+/// at `n = 3744`; the kernel clamps it to `n`).
+fn panel_width(n: usize) -> usize {
+    (PANEL_BYTES / (3 * std::mem::size_of::<f64>() * n.max(1))).max(1)
+}
+
+/// The transpose of NetMF's log similarity
+/// `M = log(max((vol/b) · D^{-1/2} S D^{-1/2}, 1))` with
+/// `S = (1/T) Σ_{t=1..T} P̃ᵗ`, holding only `M`'s nonzeros.
 ///
-/// `P̃¹ = P̃` is scattered, not multiplied out; each later power is one
-/// pooled pass of [`CsrMatrix::matvec_block_row`] over two ping-pong
-/// `n × n` buffers, and the same row pass adds `P̃ᵗ/T` into `S`. Every
-/// element is the same ascending sum at every thread count.
-fn netmf_similarity(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
+/// `S` is computed `width` columns `J` at a time: `P̃¹[:, J]` is
+/// scattered, not multiplied out, and each later power
+/// `P̃ᵗ[:, J] = P̃ · P̃ᵗ⁻¹[:, J]` is one pooled pass of
+/// [`CsrMatrix::matvec_block_row`] over two ping-pong `n × width`
+/// buffers that also adds `P̃ᵗ[:, J]/T` into the panel of `S`. After the
+/// log, each column of the panel is appended as a row of `Mᵀ`. Every
+/// element is the same ascending sum at every thread count and panel
+/// width. The panel buffers and the growing `Mᵀ` belong to the calling
+/// thread and pool workers only write panel rows: buffers allocated
+/// inside pool jobs land in the allocator's per-thread arenas and stay
+/// resident after training.
+fn netmf_similarity_transposed(
+    l: &CsrMatrix,
+    params: &EmbedParams,
+    width: usize,
+) -> Result<CsrMatrix> {
     let n = l.nrows();
     let adj = adjacency_from_laplacian(l);
     let deg = adj.row_sums();
@@ -225,41 +247,67 @@ fn netmf_similarity(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> 
     let p_tilde = adj.sym_normalized();
     let alpha = 1.0 / params.window as f64;
     let threads = params.threads;
-    // The power buffers are allocated before S and dropped before M is
-    // factorized, so they are freed as one contiguous block that the
-    // allocator can reuse or release: peak RSS over repeated
-    // train/update calls stays at three n × n buffers.
-    let mut power = DenseMatrix::zeros(n, n);
-    let mut next = DenseMatrix::zeros(n, n);
-    let mut s_acc = DenseMatrix::zeros(n, n);
-    power_step(&mut s_acc, &mut power, alpha, threads, |r, out| {
-        for (&c, &v) in p_tilde.row_cols(r).iter().zip(p_tilde.row_vals(r)) {
-            out[c] = v;
-        }
-    });
-    for _t in 1..params.window {
-        power_step(&mut s_acc, &mut next, alpha, threads, |r, out| {
-            p_tilde.matvec_block_row(r, &power, out);
-        });
-        std::mem::swap(&mut power, &mut next);
-    }
-    drop((power, next));
-    // M = (vol / b) · D^{-1/2} S D^{-1/2}, then log(max(M, 1)).
     let inv_sqrt: Vec<f64> = deg
         .iter()
         .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
         .collect();
     let scale = vol / params.negative;
-    let mut rows: Vec<&mut [f64]> = s_acc.data_mut().chunks_mut(n).collect();
-    par_chunks_mut(&mut rows, threads, |start, block| {
-        for (off, row) in block.iter_mut().enumerate() {
-            let isi = inv_sqrt[start + off];
-            for (v, &isj) in row.iter_mut().zip(&inv_sqrt) {
-                *v = (*v * isi * isj * scale).max(1.0).ln();
-            }
+    let width = width.clamp(1, n);
+    let mut power = DenseMatrix::zeros(n, width);
+    let mut next = DenseMatrix::zeros(n, width);
+    let mut s_acc = DenseMatrix::zeros(n, width);
+    let mut indptr = Vec::with_capacity(n + 1);
+    indptr.push(0);
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+    for j0 in (0..n).step_by(width) {
+        let w = width.min(n - j0);
+        if w < s_acc.ncols() {
+            // The tail panel.
+            power = DenseMatrix::zeros(n, w);
+            next = DenseMatrix::zeros(n, w);
+            s_acc = DenseMatrix::zeros(n, w);
         }
-    });
-    Ok(s_acc)
+        s_acc.data_mut().fill(0.0);
+        power_step(&mut s_acc, &mut power, alpha, threads, |r, out| {
+            out.fill(0.0);
+            let (row_cols, row_vals) = (p_tilde.row_cols(r), p_tilde.row_vals(r));
+            let lo = row_cols.partition_point(|&c| c < j0);
+            let hi = row_cols.partition_point(|&c| c < j0 + w);
+            for (&c, &v) in row_cols[lo..hi].iter().zip(&row_vals[lo..hi]) {
+                out[c - j0] = v;
+            }
+        });
+        for _t in 1..params.window {
+            power_step(&mut s_acc, &mut next, alpha, threads, |r, out| {
+                p_tilde.matvec_block_row(r, &power, out);
+            });
+            std::mem::swap(&mut power, &mut next);
+        }
+        // M[:, J] = log(max((vol / b) · D^{-1/2} S[:, J] D^{-1/2}, 1)):
+        // `x > 1 ? ln x : 0` is that max-then-log, without the log of 1.
+        let inv_sqrt_j = &inv_sqrt[j0..j0 + w];
+        let mut rows: Vec<&mut [f64]> = s_acc.data_mut().chunks_mut(w).collect();
+        par_chunks_mut(&mut rows, threads, |start, block| {
+            for (off, row) in block.iter_mut().enumerate() {
+                let isi = inv_sqrt[start + off];
+                for (v, &isj) in row.iter_mut().zip(inv_sqrt_j) {
+                    let x = *v * isi * isj * scale;
+                    *v = if x > 1.0 { x.ln() } else { 0.0 };
+                }
+            }
+        });
+        let panel = s_acc.data();
+        for c in 0..w {
+            for (i, &v) in panel[c..].iter().step_by(w).enumerate() {
+                if v != 0.0 {
+                    cols.push(i);
+                    vals.push(v);
+                }
+            }
+            indptr.push(cols.len());
+        }
+    }
+    Ok(CsrMatrix::from_raw_parts(n, n, indptr, cols, vals)?)
 }
 
 /// One pooled pass over the rows of `power` and `s_acc`: `fill(r, row)`
@@ -272,11 +320,11 @@ fn power_step(
     threads: usize,
     fill: impl Fn(usize, &mut [f64]) + Sync,
 ) {
-    let n = s_acc.ncols();
+    let w = s_acc.ncols();
     let mut rows: Vec<(&mut [f64], &mut [f64])> = power
         .data_mut()
-        .chunks_mut(n)
-        .zip(s_acc.data_mut().chunks_mut(n))
+        .chunks_mut(w)
+        .zip(s_acc.data_mut().chunks_mut(w))
         .collect();
     par_chunks_mut(&mut rows, threads, |start, block| {
         for (off, (row, acc)) in block.iter_mut().enumerate() {
@@ -578,8 +626,8 @@ mod tests {
         }
     }
 
-    /// The power loop the ping-pong row passes replaced: `P̃ · I` for the
-    /// first power, a fresh `n × n` block per step, a serial
+    /// The dense power loop the panelled row passes replaced: `P̃ · I`
+    /// for the first power, a fresh `n × n` block per step, a serial
     /// `add_scaled` and a serial log pass. Kept as the bit-identity
     /// oracle.
     fn reference_similarity(l: &CsrMatrix, params: &EmbedParams) -> DenseMatrix {
@@ -632,6 +680,97 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    /// The log similarity `M` densified from the panelled kernel at its
+    /// production panel width.
+    fn netmf_similarity(l: &CsrMatrix, params: &EmbedParams) -> Result<DenseMatrix> {
+        netmf_similarity_transposed(l, params, panel_width(l.nrows()))
+            .map(|mt| mt.transpose().to_dense())
+    }
+
+    /// `l` with every edge at the given nodes removed (their diagonal
+    /// entries stay).
+    fn isolate(l: &CsrMatrix, nodes: &[usize]) -> CsrMatrix {
+        let n = l.nrows();
+        let mut coo = CooMatrix::new(n, n);
+        for (r, c, v) in l.iter() {
+            if r == c || !(nodes.contains(&r) || nodes.contains(&c)) {
+                coo.push(r, c, v).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// Asserts that `mt` stores exactly the nonzeros of `want`ᵀ, each
+    /// with `want`'s bits.
+    fn assert_transpose_of(mt: &CsrMatrix, want: &DenseMatrix, ctx: &str) {
+        let n = want.nrows();
+        assert_eq!((mt.nrows(), mt.ncols()), (n, n), "{ctx}");
+        let mut stored = 0;
+        for j in 0..n {
+            for (&i, &v) in mt.row_cols(j).iter().zip(mt.row_vals(j)) {
+                assert_eq!(v.to_bits(), want[(i, j)].to_bits(), "{ctx}: M[{i}, {j}]");
+                stored += 1;
+            }
+        }
+        let nonzeros = want.data().iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(stored, nonzeros, "{ctx}: zero pattern");
+    }
+
+    #[test]
+    fn panels_match_reference_at_every_width_and_window() {
+        for width in [1usize, 4, 8] {
+            for n in [width.saturating_sub(1), width, width + 1, 3 * width + 5] {
+                if n < 2 {
+                    continue;
+                }
+                for window in 1..=6 {
+                    for seed in 0..3 {
+                        let mut l = oracle_laplacian(n, seed);
+                        if seed == 2 {
+                            l = isolate(&l, &[0, n / 2, n - 1]);
+                        }
+                        let params = EmbedParams {
+                            window,
+                            threads: 2,
+                            ..Default::default()
+                        };
+                        let ctx = format!("width {width}, n = {n}, window {window}, seed {seed}");
+                        match netmf_similarity_transposed(&l, &params, width) {
+                            Ok(mt) => {
+                                assert_transpose_of(&mt, &reference_similarity(&l, &params), &ctx)
+                            }
+                            Err(_) => assert_eq!(adjacency_from_laplacian(&l).nnz(), 0, "{ctx}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_match_reference_at_pool_sizes() {
+        // Two panels at the production width, the second a tail, with
+        // pooled row passes.
+        let (l, _) = planted_laplacian(300, 23);
+        let width = panel_width(300);
+        assert!(width < 300 && 300 % width != 0, "width {width}");
+        let want = reference_similarity(
+            &l,
+            &EmbedParams {
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        for threads in 1..=4 {
+            let params = EmbedParams {
+                threads,
+                ..Default::default()
+            };
+            let mt = netmf_similarity_transposed(&l, &params, width).unwrap();
+            assert_transpose_of(&mt, &want, &format!("threads {threads}"));
+        }
     }
 
     proptest! {

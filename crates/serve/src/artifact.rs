@@ -684,9 +684,9 @@ impl Artifact {
     /// # Errors
     /// [`ServeError::Corrupt`] on any structural problem — including
     /// length fields that do not fit the remaining body (a corrupt
-    /// count errors instead of mis-framing the sections after it) —
-    /// and for files in an older format, with a hint to migrate them
-    /// with `sgla-serve compact`.
+    /// count errors instead of mis-framing the sections after it);
+    /// [`ServeError::OldFormat`] for files in an older format, which
+    /// `sgla-serve compact` migrates.
     pub fn decode(bytes: Bytes) -> Result<Artifact> {
         Ok(Self::decode_with_norms(bytes)?.0)
     }
@@ -873,8 +873,8 @@ impl Artifact {
     /// section table with per-section byte sizes.
     ///
     /// # Errors
-    /// I/O failures; [`ServeError::Corrupt`] for non-SGLA files, older
-    /// formats, or a malformed head.
+    /// I/O failures; [`ServeError::OldFormat`] for older formats;
+    /// [`ServeError::Corrupt`] for non-SGLA files or a malformed head.
     pub fn read_file_info(path: &Path) -> Result<ArtifactFileInfo> {
         let raw = fs::read(path)?;
         let head = parse_v5_head(&raw)?;
@@ -1002,26 +1002,22 @@ impl Artifact {
     }
 }
 
-/// Accepts format `version` for serving — v5 only. An older artifact
-/// format gets the migration hint; `what` names the thing being
-/// opened ("file", "layout manifest").
+/// Accepts format `version` for serving — v5 only. `what` names the
+/// thing being opened ("file", "layout manifest").
 ///
 /// # Errors
-/// [`ServeError::Corrupt`] for any other version.
-pub(crate) fn require_current(what: &str, version: u16) -> Result<()> {
+/// [`ServeError::OldFormat`] for v1–v4, which `sgla-serve compact`
+/// migrates; [`ServeError::Corrupt`] for any other version.
+pub(crate) fn require_current(what: &'static str, version: u16) -> Result<()> {
     if version == FORMAT_VERSION {
-        return Ok(());
+        Ok(())
+    } else if (1..FORMAT_VERSION).contains(&version) {
+        Err(ServeError::OldFormat { what, version })
+    } else {
+        Err(ServeError::Corrupt(format!(
+            "unsupported format version {version} (expected {FORMAT_VERSION})"
+        )))
     }
-    Err(ServeError::Corrupt(
-        if (1..FORMAT_VERSION).contains(&version) {
-            format!(
-                "{what} uses artifact format v{version}, which serving no longer reads; run \
-             `sgla-serve compact` on it to migrate it to v{FORMAT_VERSION}"
-            )
-        } else {
-            format!("unsupported format version {version} (expected {FORMAT_VERSION})")
-        },
-    ))
 }
 
 /// Up-front trainability gate: with `n <= 2` the embedding dimension
@@ -1783,11 +1779,15 @@ mod tests {
                 Artifact::load(&path).unwrap_err(),
                 Artifact::read_file_info(&path).unwrap_err(),
             ] {
-                assert!(matches!(err, ServeError::Corrupt(_)), "v{version}: {err}");
+                assert!(
+                    matches!(err, ServeError::OldFormat { version: v, .. } if v == version),
+                    "v{version}: {err}"
+                );
                 let msg = err.to_string();
                 assert!(
                     msg.contains(&format!("format v{version}"))
-                        && msg.contains("sgla-serve compact"),
+                        && msg.contains("sgla-serve compact")
+                        && !msg.contains("corrupt"),
                     "v{version}: {msg}"
                 );
             }

@@ -37,10 +37,11 @@
 
 use mvag_data::FsWriter;
 use mvag_graph::generators::{random_append_delta, AppendConfig};
+use sgla_serve::artifact::FORMAT_VERSION;
 use sgla_serve::store::MmapMode;
 use sgla_serve::{
     is_layout_path, publish, Artifact, BackendLoader, EngineConfig, IvfConfig, IvfIndex,
-    QueryBackend, RouterConfig, Server, ServerConfig, ShardRouter, TrainConfig,
+    QueryBackend, RouterConfig, ServeError, Server, ServerConfig, ShardRouter, TrainConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -105,7 +106,8 @@ const USAGE: &str = "usage:
   --max-conns caps open connections (503 shed beyond it, 0 = off) and
   --idle-timeout reaps silent keep-alive connections.
   serve --auto-compact F compacts the artifact at (re)load whenever
-  the tombstoned fraction reaches F (e.g. 0.2); 0 disables.
+  the tombstoned fraction reaches F (e.g. 0.2), and migrates a pre-v5
+  artifact to v5; 0 disables.
   serve --mmap controls out-of-core serving: auto (default)
   memory-maps artifacts where supported and falls back to an owned
   load otherwise; on requires mapping; off always loads owned.
@@ -340,8 +342,7 @@ fn info(args: &[String]) -> Result<(), String> {
     println!("artifact:  {}", path.display());
     println!(
         "format:    v{} ({} bytes)",
-        sgla_serve::artifact::FORMAT_VERSION,
-        file_info.file_bytes
+        FORMAT_VERSION, file_info.file_bytes
     );
     println!("dataset:   {}", m.dataset);
     println!("n:         {}", m.n);
@@ -489,23 +490,29 @@ fn serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Compacts the artifact at `path` before a (re)load when its
-/// tombstoned fraction has reached `threshold`. The count comes from
-/// the manifest or the file's head, so nothing is decoded here.
-/// Failures are logged, not fatal: the uncompacted artifact still
-/// serves correctly (tombstones are masked at query time), so a broken
-/// background compaction must never take the server down.
+/// tombstoned fraction has reached `threshold`, and migrates it when
+/// it is in an older format that serving refuses (v1–v4). The count
+/// and the version come from the manifest or the file's head, so
+/// nothing is decoded here. Failures are logged, not fatal: the
+/// uncompacted artifact still serves correctly (tombstones are masked
+/// at query time), so a broken background compaction must never take
+/// the server down.
 fn maybe_auto_compact(path: &Path, threshold: f64) {
     let result = (|| -> Result<Option<sgla_serve::CompactionStats>, String> {
-        let (dead, n) = if is_layout_path(path) {
+        let (dead, n, old_format) = if is_layout_path(path) {
             let (manifest, _) =
                 sgla_serve::compact::open_layout(path).map_err(|e| e.to_string())?;
             let dead: usize = manifest.shards.iter().map(|e| e.tombstones).sum();
-            (dead, manifest.n)
+            let old_format = manifest.artifact_format_version < FORMAT_VERSION;
+            (dead, manifest.n, old_format)
         } else {
-            let info = Artifact::read_file_info(path).map_err(|e| e.to_string())?;
-            (info.tombstones, info.n)
+            match Artifact::read_file_info(path) {
+                Ok(info) => (info.tombstones, info.n, false),
+                Err(ServeError::OldFormat { .. }) => (0, 0, true),
+                Err(e) => return Err(e.to_string()),
+            }
         };
-        if n == 0 || (dead as f64) < threshold * n as f64 {
+        if !old_format && (n == 0 || (dead as f64) < threshold * n as f64) {
             return Ok(None);
         }
         let stats = if is_layout_path(path) {

@@ -1125,7 +1125,10 @@ mod tests {
     fn assert_refused<T: std::fmt::Debug>(result: Result<T>, version: u16) {
         let err = result.unwrap_err();
         let msg = err.to_string();
-        assert!(matches!(err, ServeError::Corrupt(_)), "v{version}: {msg}");
+        assert!(
+            matches!(err, ServeError::OldFormat { version: v, .. } if v == version),
+            "v{version}: {msg}"
+        );
         assert!(
             msg.contains(&format!("format v{version}")) && msg.contains("sgla-serve compact"),
             "v{version}: {msg}"

@@ -9,8 +9,17 @@ pub enum ServeError {
     /// Filesystem or socket I/O failed.
     Io(std::io::Error),
     /// An artifact failed structural validation while decoding: bad
-    /// magic, unsupported version, truncation, or checksum mismatch.
+    /// magic, unknown version, truncation, or checksum mismatch.
     Corrupt(String),
+    /// An intact artifact file or layout (`what`) in an older format
+    /// `version` that serving no longer reads; `sgla-serve compact`
+    /// migrates it.
+    OldFormat {
+        /// What was opened ("file", "layout manifest").
+        what: &'static str,
+        /// Its artifact format version.
+        version: u16,
+    },
     /// A query referenced a node/cluster outside the artifact.
     InvalidQuery(String),
     /// A query referenced a node that exists structurally but has been
@@ -32,6 +41,12 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "io error: {e}"),
             ServeError::Corrupt(msg) => write!(f, "corrupt artifact: {msg}"),
+            ServeError::OldFormat { what, version } => write!(
+                f,
+                "old artifact format: {what} uses format v{version}, which serving no longer \
+                 reads; run `sgla-serve compact` on it to migrate it to v{}",
+                crate::artifact::FORMAT_VERSION
+            ),
             ServeError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             ServeError::NotFound(msg) => write!(f, "not found: {msg}"),
             ServeError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),

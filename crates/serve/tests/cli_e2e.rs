@@ -1,16 +1,19 @@
-//! End-to-end test of the `sgla-serve` binary: train an artifact,
-//! serve it memory-mapped, update it in place while the server runs,
-//! and reload.
+//! End-to-end tests of the `sgla-serve` binary.
 //!
-//! The update replaces the file by rename, so the running server keeps
-//! answering from the mapping of the old file — bit-identically, with
-//! finite scores — until `POST /reload` swaps the updated artifact in.
+//! * Train an artifact, serve it memory-mapped, update it in place
+//!   while the server runs, and reload. The update replaces the file
+//!   by rename, so the running server keeps answering from the mapping
+//!   of the old file — bit-identically, with finite scores — until
+//!   `POST /reload` swaps the updated artifact in.
+//! * Serve a v4 file or layout with `--auto-compact`: the load
+//!   migrates it to v5 and serves what the v5 original serves.
 
 use mvag_data::json::{self, Value};
-use sgla_serve::HttpClient;
+use mvag_data::manifest::ShardManifest;
+use sgla_serve::{Artifact, HttpClient};
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_sgla-serve");
@@ -112,5 +115,66 @@ fn update_in_place_keeps_a_mapped_server_answering_until_reload() {
     }
 
     drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the v5 file or layout at `path` in format v4, as a
+/// deployment that predates v5 has it on disk.
+fn downgrade_to_v4(path: &Path) {
+    let rewrite = |file: &Path| {
+        let artifact = Artifact::load(file).unwrap();
+        let encoded = sgla_serve::compact::legacy::encode(&artifact, 4).unwrap();
+        std::fs::write(file, encoded.as_ref()).unwrap();
+        encoded
+    };
+    if !path.is_dir() {
+        rewrite(path);
+        return;
+    }
+    let manifest_path = path.join(Artifact::MANIFEST_FILE);
+    let mut manifest = ShardManifest::load(&manifest_path).unwrap();
+    for entry in &mut manifest.shards {
+        let encoded = rewrite(&path.join(&entry.file));
+        entry.bytes = encoded.len() as u64;
+        entry.crc32 = mvag_data::codec::crc32(encoded.as_ref());
+    }
+    manifest.artifact_format_version = 4;
+    manifest.save(&manifest_path).unwrap();
+}
+
+/// Whether `sgla-serve info` reads the artifact at `path` (it refuses
+/// every format but v5).
+fn info_reads(path: &str) -> bool {
+    let out = Command::new(BIN)
+        .args(["info", "--artifact", path])
+        .output();
+    out.unwrap().status.success()
+}
+
+#[test]
+fn auto_compact_migrates_v4_files_and_layouts_and_serves_the_same_answers() {
+    let dir = std::env::temp_dir().join(format!("sgla-cli-auto-compact-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let probes = [0usize, 150, 299];
+    let answers = |args: &[&str]| {
+        let (server, addr) = serve(args);
+        let mut client = HttpClient::connect(addr).unwrap();
+        let answers: Vec<String> = probes.iter().map(|&n| topk(&mut client, n)).collect();
+        drop(server);
+        answers
+    };
+    for (name, shards) in [("toy.sgla", "1"), ("layout", "2")] {
+        let path = dir.join(name);
+        let arg = path.to_str().unwrap();
+        run(&[&["train", "--out", arg, "--shards", shards], &TRAINING[..]].concat());
+        let want = answers(&["--artifact", arg]);
+        downgrade_to_v4(&path);
+        assert!(!info_reads(arg), "{name} still reads as v5");
+        // No tombstones: only the format sends it through compaction.
+        let got = answers(&["--artifact", arg, "--auto-compact", "0.5"]);
+        assert_eq!(got, want, "{name}");
+        assert!(info_reads(arg), "{name} was not migrated to v5");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

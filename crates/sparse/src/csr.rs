@@ -297,7 +297,7 @@ impl CsrMatrix {
 
     /// The stored entries of a dense matrix: every element that is not
     /// `±0.0` becomes an explicit entry, rows in order.
-    pub(crate) fn from_dense(d: &DenseMatrix) -> CsrMatrix {
+    pub fn from_dense(d: &DenseMatrix) -> CsrMatrix {
         let mut indptr = Vec::with_capacity(d.nrows() + 1);
         indptr.push(0usize);
         let (mut cols, mut vals) = (Vec::new(), Vec::new());

@@ -1,6 +1,6 @@
 //! Randomized truncated SVD (Halko–Martinsson–Tropp range finding).
 //!
-//! Used by the NetMF embedding backend to factorize the (dense, symmetric)
+//! Used by the NetMF embedding backend to factorize the sparse
 //! log-similarity matrix `M ≈ U_d Σ_d V_dᵀ`, from which the node embedding
 //! is `U_d Σ_d^{1/2}`. Power iterations sharpen the spectral decay, which
 //! matters because log-transformed similarity matrices have heavy tails.
@@ -50,31 +50,30 @@ impl Default for RsvdOptions {
 
 /// Computes a rank-`rank` randomized SVD of `a`.
 ///
-/// The products with `A` touch its nonzeros only: they are collected
-/// once into a [`CsrMatrix`] and its transpose, and every product is a
-/// [`CsrMatrix::matvec_block`] (`A·X`, `AᵀQ`, and `B = QᵀA` as the
+/// The products with `A` touch its nonzeros only: `A` and its
+/// transpose (built once) are [`CsrMatrix`] operands of every product,
+/// a [`CsrMatrix::matvec_block`] (`A·X`, `AᵀQ`, and `B = QᵀA` as the
 /// transpose of `AᵀQ`). Each output element is one ascending sum over
 /// the nonzeros, so the result does not depend on `opts.threads`.
 ///
 /// # Errors
 /// [`SparseError::InvalidArgument`] if `rank == 0`, `rank` exceeds
-/// `min(nrows, ncols)`, or `a` holds a non-finite value.
-pub fn rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> Result<TruncatedSvd> {
+/// `min(nrows, ncols)`, or `a` stores a non-finite value.
+pub fn rsvd(a: &CsrMatrix, rank: usize, opts: &RsvdOptions) -> Result<TruncatedSvd> {
     let (n, m) = (a.nrows(), a.ncols());
     if rank == 0 || rank > n.min(m) {
         return Err(SparseError::InvalidArgument(format!(
             "rsvd rank {rank} invalid for {n}x{m} matrix"
         )));
     }
-    if a.data().iter().any(|v| !v.is_finite()) {
+    if a.values().iter().any(|v| !v.is_finite()) {
         return Err(SparseError::InvalidArgument(
             "rsvd input holds a non-finite value".into(),
         ));
     }
     let l = (rank + opts.oversample).min(n.min(m));
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let a_sparse = CsrMatrix::from_dense(a);
-    let at_sparse = a_sparse.transpose();
+    let at = a.transpose();
     let times = |op: &CsrMatrix, x: &DenseMatrix| {
         let mut y = DenseMatrix::zeros(op.nrows(), x.ncols());
         op.matvec_block(x, &mut y, opts.threads);
@@ -83,15 +82,15 @@ pub fn rsvd(a: &DenseMatrix, rank: usize, opts: &RsvdOptions) -> Result<Truncate
 
     // Sketch: Y = A Ω.
     let omega = gaussian(m, l, &mut rng);
-    let (mut q, _) = qr_thin(&times(&a_sparse, &omega))?;
+    let (mut q, _) = qr_thin(&times(a, &omega))?;
     // Power iterations with re-orthogonalization: Q ← orth(A Aᵀ Q).
     for _ in 0..opts.power_iters {
-        let (qz, _) = qr_thin(&times(&at_sparse, &q))?; // orth(Aᵀ Q)  (m × l)
-        let (q2, _) = qr_thin(&times(&a_sparse, &qz))?; // orth(A Qz)  (n × l)
+        let (qz, _) = qr_thin(&times(&at, &q))?; // orth(Aᵀ Q)  (m × l)
+        let (q2, _) = qr_thin(&times(a, &qz))?; // orth(A Qz)  (n × l)
         q = q2;
     }
     // B = Qᵀ A = (Aᵀ Q)ᵀ  (l × m)
-    let b = times(&at_sparse, &q).transpose();
+    let b = times(&at, &q).transpose();
     factor_projection(&q, &b, rank)
 }
 
@@ -168,7 +167,7 @@ mod tests {
     #[test]
     fn recovers_exact_low_rank() {
         let a = low_rank_matrix(60, 40, 5, 3);
-        let svd = rsvd(&a, 5, &RsvdOptions::default()).unwrap();
+        let svd = rsvd(&CsrMatrix::from_dense(&a), 5, &RsvdOptions::default()).unwrap();
         // Reconstruction error should be tiny.
         let us = {
             let mut us = svd.u.clone();
@@ -192,7 +191,7 @@ mod tests {
     #[test]
     fn singular_values_descending_nonnegative() {
         let a = low_rank_matrix(50, 50, 10, 11);
-        let svd = rsvd(&a, 8, &RsvdOptions::default()).unwrap();
+        let svd = rsvd(&CsrMatrix::from_dense(&a), 8, &RsvdOptions::default()).unwrap();
         for w in svd.s.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
         }
@@ -202,7 +201,7 @@ mod tests {
     #[test]
     fn orthonormal_u() {
         let a = low_rank_matrix(70, 30, 6, 5);
-        let svd = rsvd(&a, 6, &RsvdOptions::default()).unwrap();
+        let svd = rsvd(&CsrMatrix::from_dense(&a), 6, &RsvdOptions::default()).unwrap();
         for i in 0..6 {
             for j in i..6 {
                 let d = crate::vecops::dot(&svd.u.col(i), &svd.u.col(j));
@@ -214,14 +213,14 @@ mod tests {
 
     #[test]
     fn invalid_rank_rejected() {
-        let a = DenseMatrix::zeros(5, 4);
+        let a = CsrMatrix::zeros(5, 4);
         assert!(rsvd(&a, 0, &RsvdOptions::default()).is_err());
         assert!(rsvd(&a, 5, &RsvdOptions::default()).is_err());
     }
 
     #[test]
     fn deterministic() {
-        let a = low_rank_matrix(40, 40, 4, 9);
+        let a = CsrMatrix::from_dense(&low_rank_matrix(40, 40, 4, 9));
         let s1 = rsvd(&a, 4, &RsvdOptions::default()).unwrap();
         let s2 = rsvd(&a, 4, &RsvdOptions::default()).unwrap();
         assert_eq!(s1.s, s2.s);
@@ -233,7 +232,7 @@ mod tests {
             let mut a = low_rank_matrix(20, 12, 3, 4);
             a[(7, 5)] = bad;
             assert!(matches!(
-                rsvd(&a, 3, &RsvdOptions::default()),
+                rsvd(&CsrMatrix::from_dense(&a), 3, &RsvdOptions::default()),
                 Err(SparseError::InvalidArgument(_))
             ));
         }
@@ -299,7 +298,7 @@ mod tests {
             let rank = if rank_pick >= 48 { full } else { 1 + rank_pick % full };
             let a = oracle_matrix(n, m, seed);
             let opts = RsvdOptions { seed, threads, ..Default::default() };
-            let got = rsvd(&a, rank, &opts).unwrap();
+            let got = rsvd(&CsrMatrix::from_dense(&a), rank, &opts).unwrap();
             let want = reference_rsvd(&a, rank, &RsvdOptions { threads: 1, ..opts });
             let ctx = format!("n = {n}, m = {m}, rank = {rank}, threads = {threads}, seed = {seed}");
             proptest::prop_assert_eq!(&got.u, &want.u, "{}", ctx);
@@ -322,7 +321,7 @@ mod tests {
         );
         for threads in 1..=4 {
             let got = rsvd(
-                &a,
+                &CsrMatrix::from_dense(&a),
                 16,
                 &RsvdOptions {
                     threads,
@@ -339,7 +338,7 @@ mod tests {
         // The zero matrix: rank-deficient everywhere.
         let z = DenseMatrix::zeros(30, 20);
         let got = rsvd(
-            &z,
+            &CsrMatrix::from_dense(&z),
             20,
             &RsvdOptions {
                 threads: 3,
